@@ -10,6 +10,12 @@ Gram matrices of size s(n), satisfying the coefficient identities
 Its value  integral p d(mu - nu) - integral sigma1 dmu - integral psi1 dnu
 is a lower bound on rho_n (weak duality) and hence on the TV distance; with
 strictly feasible data (densities) it matches rho_n exactly.
+
+The solver sees three blocks, not four (the domination blocks M(mu) - M(phi)
+and M(nu) - M(psi) are one matrix after eliminating psi), so its three
+multipliers become sigma0, sigma1 and psi0, and psi1 = 0.  That loses
+nothing: moving a Gram matrix S from sigma1 to psi1 lowers p by S and the
+value by  integral S d(mu - nu) - integral S dmu + integral S dnu = 0.
 """
 
 from __future__ import annotations
@@ -119,13 +125,17 @@ def _check_certificate(cert: DualCertificate):
             )
 
 
-def recover_certificate(result: HierarchyResult, duals=None) -> DualCertificate:
+def recover_certificate(result: HierarchyResult) -> DualCertificate:
     """Map the solver's block multipliers to a dual SOS certificate.
 
-    The four LMI multipliers become the Gram matrices of sigma0, sigma1,
-    psi0, psi1 (after undoing the solver-side equilibration and change of
-    variable), and p is reconstructed from the stationarity of the
-    eliminated program as  p = psi0 - psi1 - 1.
+    The three block multipliers become the Gram matrices of sigma0, sigma1
+    and psi0 (after undoing the solver-side equilibration and change of
+    variable), psi1 = 0 (up to the identity multiple that the PSD polish
+    adds to psi0 and psi1 alike), and p is reconstructed from the
+    stationarity of the eliminated program as  p = psi0 - psi1 - 1.
+    Setting psi1 = 0 is exact: the shared multiplier of the one domination
+    block may be split between sigma1 and psi1 in any way without changing
+    the certified value (see the module docstring).
 
     Requires an Optimal solve without the kernel-face reduction (use
     ``HierarchySettings(certify=True)``), since compressed blocks do not
@@ -138,10 +148,9 @@ def recover_certificate(result: HierarchyResult, duals=None) -> DualCertificate:
             "certificate recovery needs the uncompressed blocks; "
             "re-solve with HierarchySettings(certify=True)"
         )
-    if duals is None:
-        duals = result.solve.block_duals
-    if len(duals) != 4:
-        raise ValueError(f"expected 4 block multipliers, got {len(duals)}")
+    duals = result.solve.block_duals
+    if len(duals) != 3:
+        raise ValueError(f"expected 3 block multipliers, got {len(duals)}")
     d, n = result.problem.dim, result.level
 
     # undo the per-block diagonal equilibration, then the affine change of
@@ -151,7 +160,8 @@ def recover_certificate(result: HierarchyResult, duals=None) -> DualCertificate:
     for z, eq in zip(duals, result.problem.equilibrations):
         g = np.asarray(z) * np.outer(eq, eq)
         grams.append(basis_mat.T @ g @ basis_mat)
-    g_sigma0, g_sigma1, g_psi0, g_psi1 = grams
+    g_sigma0, g_sigma1, g_psi0 = grams
+    g_psi1 = np.zeros_like(g_psi0)
 
     # polish: absorb the solver's stationarity residual into sigma0 (which
     # never enters the dual value), then restore exact PSD-ness by paired

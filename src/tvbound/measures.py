@@ -39,10 +39,6 @@ class MeasureSpec:
     def mass(self) -> float:
         raise NotImplementedError
 
-    def scale_hint(self) -> float:
-        """Rough support radius, used to precondition the relaxations."""
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class Gaussian(MeasureSpec):
@@ -61,9 +57,6 @@ class Gaussian(MeasureSpec):
     def mass(self) -> float:
         return 1.0
 
-    def scale_hint(self) -> float:
-        return abs(self.mean) + 4.0 * self.stddev
-
 
 @dataclass(frozen=True)
 class Exponential(MeasureSpec):
@@ -80,10 +73,6 @@ class Exponential(MeasureSpec):
     @property
     def mass(self) -> float:
         return 1.0
-
-    def scale_hint(self) -> float:
-        # mean + 4 standard deviations, both 1/rate
-        return 5.0 / self.rate
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,9 +108,6 @@ class Atomic(MeasureSpec):
     def mass(self) -> float:
         return float(self.weights.sum())
 
-    def scale_hint(self) -> float:
-        return float(np.abs(self.points).max()) if self.points.size else 1.0
-
 
 @dataclass(frozen=True)
 class Mixture(MeasureSpec):
@@ -150,9 +136,6 @@ class Mixture(MeasureSpec):
     def mass(self) -> float:
         return 1.0
 
-    def scale_hint(self) -> float:
-        return max(spec.scale_hint() for _, spec in self.components)
-
 
 @dataclass(frozen=True, eq=False)
 class Empirical(MeasureSpec):
@@ -174,9 +157,6 @@ class Empirical(MeasureSpec):
     @property
     def mass(self) -> float:
         return 1.0
-
-    def scale_hint(self) -> float:
-        return float(np.abs(self.samples).max())
 
 
 @dataclass(frozen=True, eq=False)

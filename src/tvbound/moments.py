@@ -110,14 +110,6 @@ class MomentSequence:
             out[k] = float(sum(terms))
         return MomentSequence(1, deg, out)
 
-    def minus(self, other: "MomentSequence") -> "MomentSequence":
-        if other.dim != self.dim:
-            raise DimensionMismatch(f"d={self.dim} vs d={other.dim}")
-        deg = min(self.max_degree, other.max_degree)
-        a = self.truncated(deg).values
-        b = other.truncated(deg).values
-        return MomentSequence(self.dim, deg, a - b)
-
 
 @dataclass(frozen=True, eq=False)
 class MomentMatrix:

@@ -9,15 +9,16 @@ For pseudo-moment vectors phi, psi of degree 2n the level-n program is
 
 Its optimal value rho_n is a guaranteed lower bound on ||mu - nu||_TV and
 increases to it with n.  The equalities are eliminated up front by the
-substitution psi = phi - (mu - nu), which halves the variables; note the
-substitution makes the two domination blocks coincide, since
-nu - psi = mu - phi as sequences.
+substitution psi = phi - (mu - nu), which halves the variables.  The
+substitution also makes the two domination blocks coincide, since
+nu - psi = mu - phi as sequences, so the solver sees three PSD blocks:
+M_n(phi), M_n(mu) - M_n(phi) and M_n(psi).
 
 Numerics.  Three exact reformulations precondition the solve:
 
 * the variable is recentered and rescaled, y = (x - t)/L; rho_n is invariant
   because this is a bijective change of variables applied to both measures;
-* each PSD block is conjugated by a diagonal equilibration, which is a
+* each solver block is conjugated by a diagonal equilibration, which is a
   congruence and changes nothing mathematically;
 * when the data moment matrices are exactly singular (atomic inputs at or
   above the exactness level), the feasible set lies on a face of the cone:
@@ -134,11 +135,13 @@ class RelaxationProblem:
     """Assembled level-n relaxation plus the bookkeeping to decode solutions.
 
     ``n_variables`` / ``n_equalities`` / ``block_sizes`` describe the
-    mathematical program (both pseudo-moment vectors, explicit equalities);
-    ``program`` is the eliminated conic form actually passed to the solver,
-    whose variables are the phi coordinates only.  ``equilibrations`` holds
-    the diagonal congruence applied to each block; block duals must be
-    conjugated back by it before any certificate use.
+    mathematical program (both pseudo-moment vectors, explicit equalities,
+    four LMIs); ``program`` is the eliminated conic form actually passed to
+    the solver, whose variables are the phi coordinates only and whose three
+    blocks are M(phi), M(mu) - M(phi) and M(psi): the fourth LMI,
+    M(nu) - M(psi), is the same matrix as M(mu) - M(phi).  ``equilibrations``
+    holds the diagonal congruence applied to each solver block; block duals
+    must be conjugated back by it before any certificate use.
     """
 
     level: int
@@ -160,11 +163,11 @@ def _equilibration(mat: np.ndarray) -> np.ndarray:
     return 1.0 / np.sqrt(np.maximum(diag, floor))
 
 
-def _exact_kernel(mat: np.ndarray, rtol: float):
+def _exact_kernel(mat: np.ndarray):
     """Split eigenvectors of a PSD data matrix into range and verified kernel."""
     w, v = np.linalg.eigh(mat)
     lam_max = max(float(w[-1]), 0.0)
-    keep = w > rtol * lam_max
+    keep = w > 1e-12 * lam_max
     kernel = v[:, ~keep]
     # only trust directions annihilated to data precision
     good = []
@@ -181,8 +184,6 @@ def assemble(
     nu: MomentSequence,
     n: int,
     kernel_reduce: bool = False,
-    kernel_rtol: float = 1e-12,
-    equilibrate: bool = True,
 ) -> RelaxationProblem:
     """Build the level-n conic program from two degree-2n moment sequences."""
     if n < 1:
@@ -208,30 +209,29 @@ def assemble(
     c[0] = 2.0
     offset = nu.values[0] - mu.values[0]
 
-    d_mu = _equilibration(m_mu) if equilibrate else np.ones(s)
-    d_nu = _equilibration(m_nu) if equilibrate else np.ones(s)
+    d_mu = _equilibration(m_mu)
+    d_nu = _equilibration(m_nu)
     em_mu = m_mu * np.outer(d_mu, d_mu)
     em_nu_side = (m_nu - m_mu) * np.outer(d_nu, d_nu)
-    em_mu_nu_side = m_mu * np.outer(d_nu, d_nu)
     t_mu = tensor * np.outer(d_mu, d_mu)
     t_nu = tensor * np.outer(d_nu, d_nu)
 
     # blocks in phi variables; after the substitution the psi domination
-    # block nu - psi equals the phi one mu - phi
+    # block M(nu) - M(psi) is the same matrix as M(mu) - M(phi), so it is
+    # not passed to the solver
     block_data = [
         (np.zeros((s, s)), t_mu),        # M(phi) >= 0
         (em_mu, -t_mu),                  # M(mu) - M(phi) >= 0
         (em_nu_side, t_nu),              # M(psi) >= 0
-        (em_mu_nu_side, -t_nu),          # M(nu) - M(psi) = M(mu) - M(phi) >= 0
     ]
 
     eq_a = eq_b = None
     reduced = False
-    bases = [None] * 4
+    bases = [None] * 3
     if kernel_reduce:
         # kernels of the data matrices, in their equilibrated frames
-        p_mu, k_mu = _exact_kernel(em_mu, kernel_rtol)
-        p_nu, k_nu = _exact_kernel(em_mu_nu_side + em_nu_side, kernel_rtol)
+        p_mu, k_mu = _exact_kernel(em_mu)
+        p_nu, k_nu = _exact_kernel(m_nu * np.outer(d_nu, d_nu))
         rows, rhs = [], []
         for v in k_mu.T:
             # M(mu) v = 0 and 0 <= M(phi) <= M(mu) force M(phi) v = 0
@@ -251,7 +251,7 @@ def assemble(
             # structure; bail out of the reduction otherwise
             sol, *_ = np.linalg.lstsq(eq_a, eq_b, rcond=None)
             if np.linalg.norm(eq_a @ sol - eq_b) <= 1e-9 * (1.0 + np.linalg.norm(eq_b)):
-                bases = [p_mu, p_mu, p_nu, p_nu]
+                bases = [p_mu, p_mu, p_nu]
                 reduced = True
             else:
                 eq_a = eq_b = None
@@ -269,7 +269,7 @@ def assemble(
     return RelaxationProblem(
         level=n, dim=d, mu_moments=mu, nu_moments=nu, program=program,
         decode=decode, n_variables=2 * s2n, n_equalities=s2n,
-        block_sizes=(s, s, s, s), equilibrations=(d_mu, d_mu, d_nu, d_nu),
+        block_sizes=(s, s, s, s), equilibrations=(d_mu, d_mu, d_nu),
         reduced=reduced,
     )
 

@@ -49,8 +49,8 @@ def test_arithmetic_geometric():
 
 def test_assembled_dirac_program():
     # the level-1 program for delta_0 vs delta_eps has optimal value 2; the
-    # raw four-block form has no interior at all (the feasible set is one
-    # point), so the solve is accepted at a degenerate-case tolerance
+    # unreduced three-block form has no interior at all (the feasible set is
+    # one point), so the solve is accepted at a degenerate-case tolerance
     eps = 0.1
     mu = moments(Atomic.univariate([0.0], [1.0]), 1, 2)
     nu = moments(Atomic.univariate([eps], [1.0]), 1, 2)

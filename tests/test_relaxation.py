@@ -32,6 +32,7 @@ def test_assemble_counts_univariate_n1():
     assert prob.n_equalities == 3
     assert prob.block_sizes == (2, 2, 2, 2)
     assert prob.program.n_vars == 3  # eliminated form keeps the phi half
+    assert len(prob.program.blocks) == 3  # M(nu) - M(psi) is M(mu) - M(phi)
     assert len(prob.decode) == 6
 
 
@@ -41,6 +42,7 @@ def test_assemble_counts_univariate_n4():
     assert prob.n_variables == 18
     assert prob.n_equalities == 9
     assert prob.block_sizes == (5, 5, 5, 5)
+    assert len(prob.program.blocks) == 3
 
 
 def test_assemble_counts_bivariate_n2():
@@ -53,6 +55,19 @@ def test_assemble_counts_bivariate_n2():
     assert prob.n_variables == 2 * basis_size(2, 4) == 30
     assert prob.n_equalities == 15
     assert prob.block_sizes == (6, 6, 6, 6)
+    assert len(prob.program.blocks) == 3
+
+
+def test_assemble_counts_kernel_reduced():
+    # two atoms each at level 2: both 3x3 data matrices have rank 2, so the
+    # reduction compresses every solver block onto a 2-dimensional face
+    mu = moments(Atomic.univariate([0.0, 1.0], [0.5, 0.5]), 1, 4)
+    nu = moments(Atomic.univariate([0.5, 2.0], [0.5, 0.5]), 1, 4)
+    prob = assemble(mu, nu, 2, kernel_reduce=True)
+    assert prob.reduced
+    assert prob.block_sizes == (3, 3, 3, 3)
+    assert [blk.size for blk in prob.program.blocks] == [2, 2, 2]
+    assert len(prob.equilibrations) == 3
 
 
 def test_assemble_validation():
