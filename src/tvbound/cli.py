@@ -186,6 +186,7 @@ def cmd_bound(cfg: RunConfig) -> int:
             "wall_ms": res.wall_ms,
             "primal_residual": res.primal_residual,
             "dual_residual": res.dual_residual,
+            "iterations": res.solve.iterations,
             "untrusted": res.status != SolveStatus.OPTIMAL,
         })
     if cfg.fmt == "csv":

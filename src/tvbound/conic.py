@@ -9,7 +9,12 @@ Problem form:
 Equalities are removed up front by null-space elimination; the cone-only core
 is a Nesterov-Todd scaled predictor-corrector method.  Everything is dense:
 the target problems have a handful of blocks of size <= ~15 and tens of
-variables, where dense factorizations are both fastest and most robust.
+variables, where an iteration costs calls, not flops.  So the core stacks the
+blocks of equal order: each group holds its F_k0 as one (g, s, s) array, its
+F_ki as one (m, g*s*s) operator and its iterates and directions as (g, s, s)
+stacks.  The affine map, its adjoint, the dual projection and the Schur
+complement are then a few matmuls per group, and the Cholesky factorizations,
+the NT-scaling SVD and the step-length eigenvalues one batched call each.
 
 All computations are deterministic: identical inputs and settings produce
 bit-identical outputs.
@@ -23,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg import lapack
 
 
 class SolveStatus(enum.Enum):
@@ -151,11 +157,18 @@ class SolveResult:
 
 
 def _sym(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.T)
+    """Symmetric part of a matrix or of each matrix in a stack."""
+    return 0.5 * (a + a.swapaxes(-1, -2))
 
 
 def _chol(a: np.ndarray):
-    """Cholesky factor with a deterministic jitter ladder; None on failure."""
+    """Cholesky factor(s) of a matrix or a stack, jitter ladder per matrix; None on failure."""
+    if a.ndim == 3:
+        try:
+            return np.linalg.cholesky(a)
+        except np.linalg.LinAlgError:
+            factors = [_chol(one) for one in a]
+            return None if any(f is None for f in factors) else np.stack(factors)
     scale = max(np.trace(a) / a.shape[0], 1e-300)
     for jitter in (0.0, 1e-14, 1e-12, 1e-10):
         try:
@@ -165,43 +178,38 @@ def _chol(a: np.ndarray):
     return None
 
 
-def _max_step(chol_l: np.ndarray, delta: np.ndarray) -> float:
-    """Largest alpha with  S + alpha * delta  PSD, given S = L L^T."""
-    w = sla.solve_triangular(chol_l, delta, lower=True)
-    w = sla.solve_triangular(chol_l, w.T, lower=True)
-    lam = np.linalg.eigvalsh(_sym(w))[0]
-    if lam >= -1e-14:
-        return np.inf
-    return -1.0 / lam
-
-
-class _Cone:
-    """Iterate state for the cone-only problem min c@x, S_k(x) PSD."""
-
-    def __init__(self, c, blocks):
-        self.c = c
-        self.blocks = blocks
-        self.m = c.shape[0]
-        self.sizes = [b.size for b in blocks]
-        self.total_dim = sum(self.sizes)
-        self.data_norm = max(1.0, max(np.linalg.norm(b.f0) for b in blocks))
-        self.c_norm = 1.0 + np.linalg.norm(c)
-
-    def affine(self, x):
-        return [b.f0 + np.tensordot(x, b.coeffs, axes=1) for b in self.blocks]
-
-    def adjoint(self, zs):
-        g = np.zeros(self.m)
-        for b, z in zip(self.blocks, zs):
-            g += np.tensordot(b.coeffs, z, axes=([1, 2], [0, 1]))
-        return g
-
-
-def _strict_chol(a: np.ndarray):
+def _in_cone(stacks) -> bool:
+    """Whether every matrix of every stack has a (strict) Cholesky factor."""
     try:
-        return np.linalg.cholesky(a)
+        for a in stacks:
+            np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
-        return None
+        return False
+    return True
+
+
+def _inv_factor(chol_l: np.ndarray) -> np.ndarray:
+    """L^-1 for each lower-triangular factor of a stack, by triangular inversion."""
+    return np.stack([lapack.dtrtri(lf, lower=1)[0] for lf in chol_l])
+
+
+def _boundary_step(inv_factors, deltas) -> float:
+    """Largest alpha keeping X + alpha * delta PSD in every block, given L^-1 for X = L L^T."""
+    lam = min(
+        float(np.linalg.eigvalsh(_sym(li @ d @ li.swapaxes(1, 2)))[:, 0].min())
+        for li, d in zip(inv_factors, deltas)
+    )
+    return np.inf if lam >= -1e-14 else -1.0 / lam
+
+
+def _inner(a, b) -> float:
+    """Trace inner product summed over the stacks of two block lists."""
+    return sum(float(np.vdot(p, q)) for p, q in zip(a, b))
+
+
+def _fro_max(stacks) -> float:
+    """Largest Frobenius norm of a single block."""
+    return max(float(np.sqrt((a * a).sum(axis=(1, 2)).max())) for a in stacks)
 
 
 def _solve_interval(c, blocks, settings: SolverSettings):
@@ -332,6 +340,10 @@ _STALL_WINDOW = 15
 def _solve_cone(c, blocks, settings: SolverSettings):
     """NT-scaled predictor-corrector on the block-diagonal PSD cone.
 
+    Works on blocks stacked by order (see the module docstring); the duals
+    are returned per input block, in input order.  The grouping depends on
+    the block orders only, so identical inputs give bit-identical outputs.
+
     Stabilizers for the degenerate problems this package produces (loss of
     strict complementarity, nearly singular data):
 
@@ -357,60 +369,69 @@ def _solve_cone(c, blocks, settings: SolverSettings):
       iterate is pinned at the cone boundary, and further iterations only
       move the score within its rounding noise.
     """
-    cone = _Cone(c, blocks)
-    m = cone.m
+    m = c.shape[0]
     if m == 0:
         raise ValueError("cone solve needs at least one variable")
     if m == 1:
         return _solve_interval(c, blocks, settings)
-    tol = settings.tol
-    nb = len(blocks)
+
+    # input positions of the blocks of each order, orders as first seen
+    sizes = [blk.size for blk in blocks]
+    positions = [[k for k, s in enumerate(sizes) if s == size] for size in dict.fromkeys(sizes)]
+    f0 = [np.stack([blocks[k].f0 for k in ks]) for ks in positions]
+    coeffs = [np.stack([blocks[k].coeffs for k in ks], axis=1) for ks in positions]
+    ops = [f.reshape(m, -1) for f in coeffs]
+    total_dim = sum(sizes)
+    data_norm = max(1.0, max(np.linalg.norm(blk.f0) for blk in blocks))
+    c_norm = 1.0 + np.linalg.norm(c)
+
+    def linear(x):
+        return [(x @ op).reshape(f.shape) for f, op in zip(f0, ops)]
+
+    def adjoint(zs):
+        return sum(op @ z.reshape(-1) for op, z in zip(ops, zs))
 
     # constant Gram matrix of the dual-feasibility map, for the projection
-    gram = np.zeros((m, m))
-    for b in blocks:
-        gram += np.tensordot(b.coeffs, b.coeffs, axes=([1, 2], [1, 2]))
-    gram_chol = _chol(_sym(gram))
+    gram_chol = _chol(_sym(sum(op @ op.T for op in ops)))
 
     def project_dual(zs, target):
         """Least-change shift of zs along the F_i that makes adjoint = target."""
         if gram_chol is None:
             return zs, np.inf
-        lam = sla.cho_solve((gram_chol, True), target - cone.adjoint(zs))
-        fixed = [_sym(zs[k] + np.tensordot(lam, blocks[k].coeffs, axes=1))
-                 for k in range(nb)]
+        lam = lapack.dpotrs(gram_chol, target - adjoint(zs), lower=1)[0]
+        fixed = [_sym(z + d) for z, d in zip(zs, linear(lam))]
         return fixed, float(np.linalg.norm(lam))
 
     x = np.zeros(m)
-    eta = max(1.0, cone.data_norm ** 0.5)
-    S = [eta * np.eye(s) for s in cone.sizes]
-    Z = [eta * np.eye(s) for s in cone.sizes]
+    eta = max(1.0, data_norm ** 0.5)
+    S = [np.tile(eta * np.eye(f.shape[1]), (f.shape[0], 1, 1)) for f in f0]
+    Z = [s.copy() for s in S]
 
     best = None
     status = SolveStatus.MAX_ITER
     iters_done = 0
     score_history = []
 
-    def evaluate(x, S, Z, it):
-        Sx = cone.affine(x)
+    def evaluate(x, S, Z):
+        Sx = [f + d for f, d in zip(f0, linear(x))]
         rp = [sx - s for sx, s in zip(Sx, S)]
-        rd = c - cone.adjoint(Z)
-        gap_abs = sum(float(np.tensordot(s, z)) for s, z in zip(S, Z))
+        rd = c - adjoint(Z)
+        gap_abs = _inner(S, Z)
         pobj = float(c @ x)
-        dobj = -sum(float(np.tensordot(b.f0, z)) for b, z in zip(blocks, Z))
-        pres = np.sqrt(sum(np.linalg.norm(r) ** 2 for r in rp)) / cone.data_norm
-        dres = np.linalg.norm(rd) / cone.c_norm
+        dobj = -_inner(f0, Z)
+        pres = np.sqrt(_inner(rp, rp)) / data_norm
+        dres = np.linalg.norm(rd) / c_norm
         relgap = gap_abs / max(1.0, abs(pobj), abs(dobj))
+        # iterates are rebound, never updated in place, so no copies are kept
         snap = {
-            "score": max(pres, dres, relgap), "x": x.copy(),
-            "Z": [z.copy() for z in Z], "pobj": pobj, "dobj": dobj,
-            "pres": pres, "dres": dres, "relgap": relgap, "iter": it,
+            "score": max(pres, dres, relgap), "x": x, "Z": Z, "pobj": pobj,
+            "dobj": dobj, "pres": pres, "dres": dres, "relgap": relgap,
         }
         return Sx, rp, rd, gap_abs, pobj, dobj, snap
 
     for it in range(settings.max_iter):
         iters_done = it
-        Sx, rp, rd, gap_abs, pobj, dobj, snap = evaluate(x, S, Z, it)
+        Sx, rp, rd, gap_abs, pobj, dobj, snap = evaluate(x, S, Z)
         score = snap["score"]
 
         if not np.isfinite(score):
@@ -419,7 +440,7 @@ def _solve_cone(c, blocks, settings: SolverSettings):
         if best is None or score < best["score"]:
             best = snap
         score_history.append(best["score"])
-        if score <= tol:
+        if score <= settings.tol:
             status = SolveStatus.OPTIMAL
             break
         # accept a stall once the best iterate is already good enough
@@ -436,56 +457,43 @@ def _solve_cone(c, blocks, settings: SolverSettings):
             status = SolveStatus.INFEASIBLE
             break
 
-        mu = gap_abs / cone.total_dim
+        mu = gap_abs / total_dim
 
-        Ls, Rs, Winv, Zinv = [], [], [], []
-        failed = False
-        for s, z in zip(S, Z):
-            lf = _chol(s)
-            rf = _chol(z)
-            if lf is None or rf is None:
-                failed = True
-                break
-            u, sig, vt = np.linalg.svd(rf.T @ lf)
-            ginv = (u / np.sqrt(sig)).T @ rf.T
-            Winv.append(_sym(ginv.T @ ginv))
-            Zinv.append(_sym(sla.cho_solve((rf, True), np.eye(z.shape[0]))))
-            Ls.append(lf)
-            Rs.append(rf)
-        if failed:
+        Ls = [_chol(s) for s in S]
+        Rs = [_chol(z) for z in Z]
+        if any(f is None for f in Ls + Rs):
             status = SolveStatus.NUMERICAL_FAILURE
             break
+        Linv = [_inv_factor(lf) for lf in Ls]
+        Rinv = [_inv_factor(rf) for rf in Rs]
+        Winv, Zinv = [], []
+        for lf, rf, ri in zip(Ls, Rs, Rinv):
+            rt = rf.swapaxes(1, 2)
+            u, sig, _ = np.linalg.svd(rt @ lf)
+            ginv = (u / np.sqrt(sig)[:, None, :]).swapaxes(1, 2) @ rt
+            Winv.append(_sym(ginv.swapaxes(1, 2) @ ginv))
+            Zinv.append(_sym(ri.swapaxes(1, 2) @ ri))
 
         # Schur complement  M_ij = sum_k <F_ki, Winv_k F_kj Winv_k>
-        M = np.zeros((m, m))
-        for b, wi in zip(blocks, Winv):
-            t = np.einsum("ab,ibc,cd->iad", wi, b.coeffs, wi, optimize=True)
-            M += np.tensordot(b.coeffs, t, axes=([1, 2], [1, 2]))
-        M = _sym(M)
+        M = _sym(sum(
+            op @ (w @ f @ w).reshape(m, -1).T for op, f, w in zip(ops, coeffs, Winv)
+        ))
         mchol = _chol(M)
         if mchol is None:
             status = SolveStatus.NUMERICAL_FAILURE
             break
 
         def direction(sigma, corr):
-            rhs = -rd.copy()
-            es = []
-            for k, b in enumerate(blocks):
-                e = sigma * mu * Zinv[k] - Sx[k]
-                if corr is not None:
-                    e = e - corr[k]
-                es.append(e)
-                rhs += np.tensordot(b.coeffs, _sym(Winv[k] @ e @ Winv[k]),
-                                    axes=([1, 2], [0, 1]))
-            dx = sla.cho_solve((mchol, True), rhs)
+            es = [sigma * mu * zi - sx for zi, sx in zip(Zinv, Sx)]
+            if corr is not None:
+                es = [e - cr for e, cr in zip(es, corr)]
+            rhs = adjoint([_sym(w @ e @ w) for w, e in zip(Winv, es)]) - rd
+            dx = lapack.dpotrs(mchol, rhs, lower=1)[0]
             # one round of iterative refinement; the Schur system gets very
             # ill-conditioned near degenerate optima
-            resid = rhs - M @ dx
-            dx = dx + sla.cho_solve((mchol, True), resid)
-            ds = [rp[k] + np.tensordot(dx, blocks[k].coeffs, axes=1)
-                  for k in range(nb)]
-            dz = [_sym(Winv[k] @ (es[k] + rp[k] - ds[k]) @ Winv[k])
-                  for k in range(nb)]
+            dx = dx + lapack.dpotrs(mchol, rhs - M @ dx, lower=1)[0]
+            ds = [r + d for r, d in zip(rp, linear(dx))]
+            dz = [_sym(w @ (e + r - d) @ w) for w, e, r, d in zip(Winv, es, rp, ds)]
             # Winv (...) Winv meets adjoint(dz) = rd only up to the Schur
             # solve's residual, which is large when M is nearly singular;
             # the step-length search below keeps the corrected Z in the cone
@@ -494,18 +502,14 @@ def _solve_cone(c, blocks, settings: SolverSettings):
 
         def step_lengths(ds, dz):
             frac = settings.step_fraction
-            ap = min((_max_step(Ls[k], ds[k]) for k in range(nb)), default=np.inf)
-            ad = min((_max_step(Rs[k], dz[k]) for k in range(nb)), default=np.inf)
-            return min(1.0, frac * ap), min(1.0, frac * ad)
+            return min(1.0, frac * _boundary_step(Linv, ds)), min(1.0, frac * _boundary_step(Rinv, dz))
 
         dx_a, ds_a, dz_a = direction(0.0, None)
         ap_a, ad_a = step_lengths(ds_a, dz_a)
-        gap_aff = sum(
-            float(np.tensordot(S[k] + ap_a * ds_a[k], Z[k] + ad_a * dz_a[k]))
-            for k in range(nb)
-        )
+        gap_aff = _inner([s + ap_a * d for s, d in zip(S, ds_a)],
+                         [z + ad_a * d for z, d in zip(Z, dz_a)])
         sigma = min(0.99, max(1e-8, (max(gap_aff, 0.0) / gap_abs) ** 3))
-        corr = [_sym(ds_a[k] @ dz_a[k] @ Zinv[k]) for k in range(nb)]
+        corr = [_sym(a @ b @ zi) for a, b, zi in zip(ds_a, dz_a, Zinv)]
         dx, ds, dz = direction(sigma, corr)
         ap, ad = step_lengths(ds, dz)
         # fall back to the centered direction without the second-order
@@ -518,41 +522,35 @@ def _solve_cone(c, blocks, settings: SolverSettings):
 
         # when the dual optimum is not attained Z must be allowed to grow,
         # but geometrically, not explosively
-        z_norm = max(np.linalg.norm(z) for z in Z)
-        dz_norm = max(np.linalg.norm(d) for d in dz)
+        dz_norm = _fro_max(dz)
         if dz_norm > 0:
-            ad = min(ad, 3.0 * (1.0 + z_norm) / dz_norm)
+            ad = min(ad, 3.0 * (1.0 + _fro_max(Z)) / dz_norm)
 
         # verify cone membership at the candidate points; the max-step
         # estimate is unreliable when the current factors are ill-conditioned
         for _ in range(40):
-            if all(_strict_chol(S[k] + ap * ds[k]) is not None for k in range(nb)):
+            if _in_cone([s + ap * d for s, d in zip(S, ds)]):
                 break
             ap *= 0.8
         for _ in range(40):
-            if all(_strict_chol(Z[k] + ad * dz[k]) is not None for k in range(nb)):
+            if _in_cone([z + ad * d for z, d in zip(Z, dz)]):
                 break
             ad *= 0.8
 
         x = x + ap * dx
-        S = [_sym(S[k] + ap * ds[k]) for k in range(nb)]
-        Z_new = [_sym(Z[k] + ad * dz[k]) for k in range(nb)]
+        S = [_sym(s + ap * d) for s, d in zip(S, ds)]
+        Z_new = [_sym(z + ad * d) for z, d in zip(Z, dz)]
         # a dual step shorter than 1 leaves the share (1 - ad) of the dual
         # residual; remove it when that is a small polish and keeps the cone
         fixed, shift = project_dual(Z_new, c)
-        z_scale = 1.0 + max(np.linalg.norm(z) for z in Z_new)
-        if (
-            np.isfinite(shift)
-            and shift <= 1e-3 * z_scale
-            and all(_strict_chol(z) is not None for z in fixed)
-        ):
+        if np.isfinite(shift) and shift <= 1e-3 * (1.0 + _fro_max(Z_new)) and _in_cone(fixed):
             Z = fixed
         else:
             Z = Z_new
 
     else:
         # max_iter exhausted: account for the final step before reporting
-        *_, snap = evaluate(x, S, Z, settings.max_iter)
+        *_, snap = evaluate(x, S, Z)
         if np.isfinite(snap["score"]) and (best is None or snap["score"] < best["score"]):
             best = snap
 
@@ -563,11 +561,14 @@ def _solve_cone(c, blocks, settings: SolverSettings):
     if best is None:
         return (
             SolveStatus.NUMERICAL_FAILURE, np.zeros(m),
-            [np.zeros((s, s)) for s in cone.sizes],
+            [np.zeros((s, s)) for s in sizes],
             0.0, 0.0, np.inf, np.inf, np.inf, iters_done,
         )
+    # the stacked duals in group order, scattered back to input block order
+    stacked = [z for stack in best["Z"] for z in stack]
+    duals = [stacked[j] for j in np.argsort(sum(positions, []))]
     return (
-        status, best["x"], best["Z"], best["pobj"], best["dobj"],
+        status, best["x"], duals, best["pobj"], best["dobj"],
         best["pres"], best["dres"], best["relgap"], iters_done,
     )
 
@@ -618,9 +619,7 @@ def solve(program: ConicProgram, settings: SolverSettings | None = None) -> Solv
         )
         x = x_part + nullsp @ z_red
         shift = float(c @ x_part)
-        g = np.zeros(c.shape[0])
-        for blk, z in zip(blocks, duals):
-            g += np.tensordot(blk.coeffs, z, axes=([1, 2], [0, 1]))
+        g = sum(np.tensordot(blk.coeffs, z, axes=2) for blk, z in zip(blocks, duals))
         y, *_ = np.linalg.lstsq(a.T, c - g, rcond=None)
         eq_res = np.linalg.norm(a @ x - b) / (1.0 + np.linalg.norm(b))
         return SolveResult(

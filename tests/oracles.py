@@ -122,3 +122,23 @@ def random_sdp_instance(rng, max_vars=4, size=3):
     z0 = z0 @ z0.T + 0.3 * np.eye(size)
     c = np.tensordot(coeffs, z0, axes=([1, 2], [0, 1]))
     return c, f0, coeffs, x0
+
+
+def random_block_sdp(rng, sizes, m):
+    """Random bounded SDP over several blocks, as ``random_sdp_instance``.
+
+    Returns (c, [(f0, coeffs) per block], x0); x0 is strictly feasible, and
+    c = sum_k adjoint_k(Z0_k) for positive definite Z0_k, so the objective
+    is bounded below on the feasible set.
+    """
+    x0 = rng.standard_normal(m)
+    c = np.zeros(m)
+    block_data = []
+    for size in sizes:
+        coeffs = np.stack([0.5 * (a + a.T) for a in rng.standard_normal((m, size, size))])
+        s0 = rng.standard_normal((size, size))
+        z0 = rng.standard_normal((size, size))
+        f0 = s0 @ s0.T + 0.3 * np.eye(size) - np.tensordot(x0, coeffs, axes=1)
+        c += np.tensordot(coeffs, z0 @ z0.T + 0.3 * np.eye(size), axes=([1, 2], [0, 1]))
+        block_data.append((f0, coeffs))
+    return c, block_data, x0

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from tvbound.cli import main
+from tvbound.measures import Gaussian
+from tvbound.relaxation import HierarchySettings, solve_hierarchy
 
 GAUSS_ROW = {
     "version": 1,
@@ -78,6 +80,18 @@ def test_bound_discrete_example(tmp_path, capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["rows"][0]["rho_n"] == pytest.approx(1.5, abs=2e-3)
+
+
+def test_bound_json_reports_iterations(tmp_path, capsys):
+    cfg = dict(GAUSS_ROW, format="json")
+    code = main(["bound", "--config", write_config(tmp_path, cfg)])
+    assert code == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    # the CLI's defaults for a config without a "solver" section
+    settings = HierarchySettings(tol=1e-8, max_iter=250, accept_tol=1e-4)
+    sweep = solve_hierarchy(Gaussian(0.0, 0.1), Gaussian(1.0, 0.1), [1, 2], settings)
+    assert [row["iterations"] for row in rows] == [res.solve.iterations for res in sweep]
+    assert all(row["iterations"] > 0 for row in rows)
 
 
 def test_levels_flag_overrides(tmp_path, capsys):

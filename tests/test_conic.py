@@ -12,7 +12,7 @@ from tvbound.conic import (
 from tvbound.measures import Atomic, Gaussian, moments
 from tvbound.relaxation import HierarchySettings, assemble, variable_map_for
 
-from oracles import barrier_solve, grid_min_sdp, random_sdp_instance
+from oracles import barrier_solve, grid_min_sdp, random_block_sdp, random_sdp_instance
 
 
 def scalar_program():
@@ -98,16 +98,66 @@ def test_random_instances_match_barrier_oracle():
         assert res.dual_objective <= res.objective + 1e-6
 
 
+# interleaved block orders, so that blocks of one order are not adjacent
+MIXED_ORDERS = (3, 1, 3, 2)
+
+
+def mixed_block_program(rng, with_equality=False):
+    """A random program over blocks of orders MIXED_ORDERS, and its optimum.
+
+    With ``with_equality`` one random equality through the strictly feasible
+    point is added; the oracle then solves over its null space.
+    """
+    m = 4
+    c, block_data, x0 = random_block_sdp(rng, MIXED_ORDERS, m)
+    blocks = tuple(PsdBlock(f0, coeffs) for f0, coeffs in block_data)
+    if not with_equality:
+        return ConicProgram(c=c, blocks=blocks), barrier_solve(c, block_data, x0)[0]
+    eq_a = rng.standard_normal((1, m))
+    eq_b = eq_a @ x0
+    nullsp = np.linalg.svd(eq_a)[2][1:].T          # (m, m - 1) orthonormal
+    reduced = [(f0 + np.tensordot(x0, coeffs, axes=1), np.tensordot(nullsp.T, coeffs, axes=1))
+               for f0, coeffs in block_data]
+    value, _ = barrier_solve(nullsp.T @ c, reduced, np.zeros(m - 1))
+    return ConicProgram(c=c, blocks=blocks, eq_a=eq_a, eq_b=eq_b), value + float(c @ x0)
+
+
+@pytest.mark.parametrize("with_equality", [False, True])
+def test_mixed_block_orders_match_barrier_oracle(with_equality):
+    rng = np.random.default_rng(7 if with_equality else 5)
+    for _ in range(5):
+        prog, oracle_val = mixed_block_program(rng, with_equality)
+        res = solve(prog, SolverSettings(tol=1e-8, accept_tol=1e-6))
+        assert res.status == SolveStatus.OPTIMAL
+        assert res.objective == pytest.approx(oracle_val, abs=1e-4)
+        # one dual per input block, in input order and shape
+        assert [z.shape for z in res.block_duals] == [(s, s) for s in MIXED_ORDERS]
+        stationarity = prog.c - sum(
+            np.tensordot(blk.coeffs, z, axes=2) for blk, z in zip(prog.blocks, res.block_duals)
+        )
+        if with_equality:
+            stationarity -= prog.eq_a.T @ res.eq_dual
+        assert np.allclose(stationarity, 0.0, atol=1e-5)
+        for blk, z in zip(prog.blocks, res.block_duals):
+            s = blk.f0 + np.tensordot(res.x, blk.coeffs, axes=1)
+            assert np.linalg.eigvalsh(z)[0] >= -1e-8
+            assert abs(float(np.vdot(s, z))) <= 1e-5
+
+
 def test_determinism_bit_identical():
-    prog = arithmetic_geometric_program()
-    res1 = solve(prog)
-    res2 = solve(prog)
-    assert res1.x.tobytes() == res2.x.tobytes()
-    assert res1.objective == res2.objective
-    assert all(
-        a.tobytes() == b.tobytes()
-        for a, b in zip(res1.block_duals, res2.block_duals)
+    programs = (
+        arithmetic_geometric_program(),
+        mixed_block_program(np.random.default_rng(11), with_equality=True)[0],
     )
+    for prog in programs:
+        res1 = solve(prog)
+        res2 = solve(prog)
+        assert res1.x.tobytes() == res2.x.tobytes()
+        assert res1.objective == res2.objective
+        assert all(
+            a.tobytes() == b.tobytes()
+            for a, b in zip(res1.block_duals, res2.block_duals)
+        )
 
 
 def test_no_nan_on_optimal():
