@@ -28,7 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -301,13 +301,8 @@ def cmd_moments(cfg: RunConfig) -> int:
 
 def cmd_certify(cfg: RunConfig) -> int:
     level = max(cfg.levels)
-    settings = HierarchySettings(
-        tol=cfg.settings.tol, max_iter=cfg.settings.max_iter,
-        accept_tol=cfg.settings.accept_tol, scale=cfg.settings.scale,
-        certify=True,
-    )
     try:
-        sweep = solve_hierarchy(cfg.mu, cfg.nu, [level], settings)
+        sweep = solve_hierarchy(cfg.mu, cfg.nu, [level], replace(cfg.settings, certify=True))
     except TvBoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

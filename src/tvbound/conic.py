@@ -6,15 +6,17 @@ Problem form:
     subject to  eq_a @ x = eq_b                      (optional)
                 F_k0 + sum_i x_i F_ki  >= 0  (PSD)   for each block k
 
-Equalities are removed up front by null-space elimination; the cone-only core
-is a Nesterov-Todd scaled predictor-corrector method.  Everything is dense:
-the target problems have a handful of blocks of size <= ~15 and tens of
-variables, where an iteration costs calls, not flops.  So the core stacks the
-blocks of equal order: each group holds its F_k0 as one (g, s, s) array, its
-F_ki as one (m, g*s*s) operator and its iterates and directions as (g, s, s)
-stacks.  The affine map, its adjoint, the dual projection and the Schur
-complement are then a few matmuls per group, and the Cholesky factorizations,
-the NT-scaling SVD and the step-length eigenvalues one batched call each.
+Everything is dense: the target problems have a handful of blocks of size
+<= ~15 and tens of variables, where an iteration costs calls, not flops.  So
+``solve`` stacks the blocks of equal order once: each group holds its F_k0 as
+one (g, s, s) array and its F_ki as one (m, g, s, s) array.  The null-space
+elimination of the equalities, the test of a point they pin, the
+one-variable solver and the cone-only core, a Nesterov-Todd scaled
+predictor-corrector method, all work on these stacks, and every exit
+scatters the duals back to input block order.  In the core the affine map,
+its adjoint, the dual projection and the Schur complement are a few matmuls
+per group, and the Cholesky factorizations, the NT-scaling SVD and the
+step-length eigenvalues one batched call each.
 
 All computations are deterministic: identical inputs and settings produce
 bit-identical outputs.
@@ -117,7 +119,6 @@ class SolverSettings:
 
     tol: float = 1e-8
     max_iter: int = 200
-    step_fraction: float = 0.98
     accept_tol: float | None = None
 
     @property
@@ -161,6 +162,21 @@ def _sym(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.swapaxes(-1, -2))
 
 
+def _group(blocks):
+    """Input positions, (g, s, s) F_k0 and (m, g, s, s) F_ki of each order group."""
+    sizes = [blk.size for blk in blocks]
+    positions = [[k for k, s in enumerate(sizes) if s == size] for size in dict.fromkeys(sizes)]
+    f0 = [np.stack([blocks[k].f0 for k in ks]) for ks in positions]
+    coeffs = [np.stack([blocks[k].coeffs for k in ks], axis=1) for ks in positions]
+    return positions, f0, coeffs
+
+
+def _scatter(positions, stacks) -> tuple:
+    """Symmetric parts of stacked duals, one per input block, in input order."""
+    stacked = [z for stack in stacks for z in stack]
+    return tuple(_sym(stacked[j]) for j in np.argsort(sum(positions, [])))
+
+
 def _chol(a: np.ndarray):
     """Cholesky factor(s) of a matrix or a stack, jitter ladder per matrix; None on failure."""
     if a.ndim == 3:
@@ -193,12 +209,19 @@ def _inv_factor(chol_l: np.ndarray) -> np.ndarray:
     return np.stack([lapack.dtrtri(lf, lower=1)[0] for lf in chol_l])
 
 
+def _lam_min(stacks) -> float:
+    """Smallest eigenvalue of any matrix of any stack."""
+    return min(float(np.linalg.eigvalsh(a)[:, 0].min()) for a in stacks)
+
+
+def _data_scale(f0) -> float:
+    """max(1, largest Frobenius norm of a single F_k0)."""
+    return max(1.0, max(np.linalg.norm(a) for f in f0 for a in f))
+
+
 def _boundary_step(inv_factors, deltas) -> float:
     """Largest alpha keeping X + alpha * delta PSD in every block, given L^-1 for X = L L^T."""
-    lam = min(
-        float(np.linalg.eigvalsh(_sym(li @ d @ li.swapaxes(1, 2)))[:, 0].min())
-        for li, d in zip(inv_factors, deltas)
-    )
+    lam = _lam_min([_sym(li @ d @ li.swapaxes(1, 2)) for li, d in zip(inv_factors, deltas)])
     return np.inf if lam >= -1e-14 else -1.0 / lam
 
 
@@ -212,8 +235,8 @@ def _fro_max(stacks) -> float:
     return max(float(np.sqrt((a * a).sum(axis=(1, 2)).max())) for a in stacks)
 
 
-def _solve_interval(c, blocks, settings: SolverSettings):
-    """Exact solver for one-variable cone problems.
+def _solve_interval(c, f0, coeffs, settings: SolverSettings):
+    """Exact solver for one-variable cone problems, on the stacked blocks.
 
     lambda(x) = min_k lambda_min(F_k0 + x F_k) is concave, so the feasible
     set {lambda >= 0} is an interval whose endpoints are located by
@@ -221,17 +244,15 @@ def _solve_interval(c, blocks, settings: SolverSettings):
     the objective is flat).  Duals come from the active block's null vector.
     """
     c0 = float(c[0])
-    sizes = [b.size for b in blocks]
+    coef = [fk[0] for fk in coeffs]
 
     def lam(x):
-        return min(
-            float(np.linalg.eigvalsh(b.f0 + x * b.coeffs[0])[0]) for b in blocks
-        )
+        return _lam_min([f + x * fk for f, fk in zip(f0, coef)])
 
     # bracket a maximizer of the concave lambda, then golden-section it;
     # structurally zero eigenvalues carry O(eps) noise, so feasibility is
     # judged against a small negative floor
-    scale = max(1.0, max(np.linalg.norm(b.f0) for b in blocks))
+    scale = _data_scale(f0)
     feas_floor = -1e-11 * scale
     lo, hi = -1.0, 1.0
     for _ in range(60):
@@ -260,12 +281,10 @@ def _solve_interval(c, blocks, settings: SolverSettings):
             x1 = b_ - invphi * (b_ - a)
             f1 = lam(x1)
     x_top = 0.5 * (a + b_)
+    duals = [np.zeros_like(f) for f in f0]
     if lam(x_top) < feas_floor:
-        return (
-            SolveStatus.INFEASIBLE, np.array([x_top]),
-            [np.zeros((s, s)) for s in sizes],
-            c0 * x_top, -np.inf, np.inf, np.inf, np.inf, 0,
-        )
+        return (SolveStatus.INFEASIBLE, np.array([x_top]), duals,
+                c0 * x_top, -np.inf, np.inf, np.inf, np.inf, 0)
 
     def boundary(side):
         # lambda is monotone towards each side of its maximizer
@@ -298,35 +317,30 @@ def _solve_interval(c, blocks, settings: SolverSettings):
         x_star = x_top
     if not np.isfinite(x_star):
         # unbounded objective direction: dual infeasible
-        return (
-            SolveStatus.NUMERICAL_FAILURE, np.array([x_top]),
-            [np.zeros((s, s)) for s in sizes],
-            -np.inf, -np.inf, np.inf, np.inf, np.inf, 0,
-        )
+        return (SolveStatus.NUMERICAL_FAILURE, np.array([x_top]), duals,
+                -np.inf, -np.inf, np.inf, np.inf, np.inf, 0)
 
-    duals = [np.zeros((s, s)) for s in sizes]
     dobj = c0 * x_star
     if c0 != 0.0:
         # dual support on a null vector of the binding block; among the
         # near-null directions pick the one that actually blocks the step
         # (largest |u^T F u| with the PSD-compatible sign)
         best = None
-        for k, blk in enumerate(blocks):
-            w, v = np.linalg.eigh(blk.f0 + x_star * blk.coeffs[0])
-            for i in range(len(w)):
-                if w[i] > 1e-8 * scale:
-                    break
-                quad = float(v[:, i] @ blk.coeffs[0] @ v[:, i])
+        for g, (f, fk) in enumerate(zip(f0, coef)):
+            w, v = np.linalg.eigh(f + x_star * fk)
+            for k, i in zip(*np.nonzero(w <= 1e-8 * scale)):
+                u = v[k, :, i]
+                quad = float(u @ fk[k] @ u)
                 if quad == 0.0 or c0 / quad < 0.0:
                     continue
                 if best is None or abs(quad) > best[0]:
-                    best = (abs(quad), k, c0 / quad, v[:, i])
+                    best = (abs(quad), g, k, c0 / quad, u)
         if best is not None:
-            _, k, theta, u = best
-            duals[k] = theta * np.outer(u, u)
-            dobj = -sum(float(np.tensordot(b.f0, z)) for b, z in zip(blocks, duals))
+            _, g, k, theta, u = best
+            duals[g][k] = theta * np.outer(u, u)
+            dobj = -_inner(f0, duals)
     pres = max(0.0, -lam(x_star)) / scale
-    dres = abs(c0 - sum(float(np.tensordot(b.coeffs[0], z)) for b, z in zip(blocks, duals))) / (1.0 + abs(c0))
+    dres = abs(c0 - _inner(coef, duals)) / (1.0 + abs(c0))
     gap = abs(c0 * x_star - dobj) / max(1.0, abs(c0 * x_star), abs(dobj))
     status = SolveStatus.OPTIMAL if max(pres, dres, gap) <= settings.accept else SolveStatus.NUMERICAL_FAILURE
     return (status, np.array([x_star]), duals, c0 * x_star, dobj, pres, dres, gap, 0)
@@ -335,14 +349,16 @@ def _solve_interval(c, blocks, settings: SolverSettings):
 # iterations without halving the best score after which a solve whose best
 # iterate meets ``accept`` is stopped as stalled (see _solve_cone)
 _STALL_WINDOW = 15
+# share of the distance to the cone boundary that one step may cover
+_STEP_FRACTION = 0.98
 
 
-def _solve_cone(c, blocks, settings: SolverSettings):
+def _solve_cone(c, f0, coeffs, settings: SolverSettings):
     """NT-scaled predictor-corrector on the block-diagonal PSD cone.
 
-    Works on blocks stacked by order (see the module docstring); the duals
-    are returned per input block, in input order.  The grouping depends on
-    the block orders only, so identical inputs give bit-identical outputs.
+    Takes the blocks as ``solve`` stacks them (see the module docstring) and
+    returns the duals as the same stacks, which ``solve`` scatters back to
+    input block order.  One-variable problems go to ``_solve_interval``.
 
     Stabilizers for the degenerate problems this package produces (loss of
     strict complementarity, nearly singular data):
@@ -373,16 +389,11 @@ def _solve_cone(c, blocks, settings: SolverSettings):
     if m == 0:
         raise ValueError("cone solve needs at least one variable")
     if m == 1:
-        return _solve_interval(c, blocks, settings)
+        return _solve_interval(c, f0, coeffs, settings)
 
-    # input positions of the blocks of each order, orders as first seen
-    sizes = [blk.size for blk in blocks]
-    positions = [[k for k, s in enumerate(sizes) if s == size] for size in dict.fromkeys(sizes)]
-    f0 = [np.stack([blocks[k].f0 for k in ks]) for ks in positions]
-    coeffs = [np.stack([blocks[k].coeffs for k in ks], axis=1) for ks in positions]
     ops = [f.reshape(m, -1) for f in coeffs]
-    total_dim = sum(sizes)
-    data_norm = max(1.0, max(np.linalg.norm(blk.f0) for blk in blocks))
+    total_dim = sum(f.shape[0] * f.shape[1] for f in f0)
+    data_norm = _data_scale(f0)
     c_norm = 1.0 + np.linalg.norm(c)
 
     def linear(x):
@@ -409,7 +420,6 @@ def _solve_cone(c, blocks, settings: SolverSettings):
 
     best = None
     status = SolveStatus.MAX_ITER
-    iters_done = 0
     score_history = []
 
     def evaluate(x, S, Z):
@@ -501,8 +511,8 @@ def _solve_cone(c, blocks, settings: SolverSettings):
             return dx, ds, dz
 
         def step_lengths(ds, dz):
-            frac = settings.step_fraction
-            return min(1.0, frac * _boundary_step(Linv, ds)), min(1.0, frac * _boundary_step(Rinv, dz))
+            return (min(1.0, _STEP_FRACTION * _boundary_step(Linv, ds)),
+                    min(1.0, _STEP_FRACTION * _boundary_step(Rinv, dz)))
 
         dx_a, ds_a, dz_a = direction(0.0, None)
         ap_a, ad_a = step_lengths(ds_a, dz_a)
@@ -550,6 +560,7 @@ def _solve_cone(c, blocks, settings: SolverSettings):
 
     else:
         # max_iter exhausted: account for the final step before reporting
+        iters_done = settings.max_iter
         *_, snap = evaluate(x, S, Z)
         if np.isfinite(snap["score"]) and (best is None or snap["score"] < best["score"]):
             best = snap
@@ -559,18 +570,10 @@ def _solve_cone(c, blocks, settings: SolverSettings):
             status = SolveStatus.OPTIMAL
 
     if best is None:
-        return (
-            SolveStatus.NUMERICAL_FAILURE, np.zeros(m),
-            [np.zeros((s, s)) for s in sizes],
-            0.0, 0.0, np.inf, np.inf, np.inf, iters_done,
-        )
-    # the stacked duals in group order, scattered back to input block order
-    stacked = [z for stack in best["Z"] for z in stack]
-    duals = [stacked[j] for j in np.argsort(sum(positions, []))]
-    return (
-        status, best["x"], duals, best["pobj"], best["dobj"],
-        best["pres"], best["dres"], best["relgap"], iters_done,
-    )
+        return (SolveStatus.NUMERICAL_FAILURE, np.zeros(m), [np.zeros_like(f) for f in f0],
+                0.0, 0.0, np.inf, np.inf, np.inf, iters_done)
+    return (status, best["x"], best["Z"], best["pobj"], best["dobj"],
+            best["pres"], best["dres"], best["relgap"], iters_done)
 
 
 def solve(program: ConicProgram, settings: SolverSettings | None = None) -> SolveResult:
@@ -579,63 +582,49 @@ def solve(program: ConicProgram, settings: SolverSettings | None = None) -> Solv
     Returns a SolveResult whose status is OPTIMAL only when the primal
     residual, dual residual and normalized duality gap are all <= accept
     (``tol`` unless ``accept_tol`` is looser).  Dual block multipliers are
-    always returned for the best iterate seen.
+    always returned for the best iterate seen, in input block order.
+
+    The blocks are stacked by order here, once per solve.  The equality
+    elimination, the pinned-point test and both cone solvers work on those
+    stacks, and every exit scatters its duals back with ``_scatter``.
     """
     settings = settings or SolverSettings()
-    c = program.c
-    blocks = program.blocks
+    c, offset = program.c, program.offset
+    positions, f0, coeffs = _group(program.blocks)
 
-    if program.eq_a is not None:
-        a, b = program.eq_a, program.eq_b
-        x_part, *_ = np.linalg.lstsq(a, b, rcond=None)
-        if np.linalg.norm(a @ x_part - b) > 1e-8 * (1.0 + np.linalg.norm(b)):
-            return SolveResult(
-                SolveStatus.INFEASIBLE, x_part, float(c @ x_part + program.offset),
-                -np.inf, tuple(np.zeros((blk.size, blk.size)) for blk in blocks),
-                None, np.inf, np.inf, np.inf, 0,
-            )
-        nullsp = sla.null_space(a)
-        red_blocks = tuple(
-            PsdBlock(
-                blk.f0 + np.tensordot(x_part, blk.coeffs, axes=1),
-                np.tensordot(nullsp.T, blk.coeffs, axes=([1], [0]))
-                if nullsp.shape[1] else np.zeros((0, blk.size, blk.size)),
-            )
-            for blk in blocks
-        )
-        if nullsp.shape[1] == 0:
-            # equalities pin the point; check cone feasibility and report
-            eigmins = [np.linalg.eigvalsh(rb.f0)[0] for rb in red_blocks]
-            feas = min(eigmins) >= -1e-8 * max(1.0, max(np.linalg.norm(rb.f0) for rb in red_blocks))
-            duals = tuple(np.zeros((blk.size, blk.size)) for blk in blocks)
-            y, *_ = np.linalg.lstsq(a.T, c, rcond=None)
-            obj = float(c @ x_part + program.offset)
-            status = SolveStatus.OPTIMAL if feas else SolveStatus.INFEASIBLE
-            res = max(0.0, -min(eigmins))
-            return SolveResult(status, x_part, obj, obj, duals, y, res, 0.0, 0.0, 0)
-        red_c = nullsp.T @ c
-        (status, z_red, duals, pobj_r, dobj_r, pres, dres, gap, iters) = _solve_cone(
-            red_c, red_blocks, settings
-        )
-        x = x_part + nullsp @ z_red
-        shift = float(c @ x_part)
-        g = sum(np.tensordot(blk.coeffs, z, axes=2) for blk, z in zip(blocks, duals))
-        y, *_ = np.linalg.lstsq(a.T, c - g, rcond=None)
-        eq_res = np.linalg.norm(a @ x - b) / (1.0 + np.linalg.norm(b))
-        return SolveResult(
-            status, x, pobj_r + shift + program.offset,
-            dobj_r + shift + program.offset,
-            tuple(_sym(z) for z in duals), y,
-            max(pres, eq_res), dres, gap, iters,
-        )
+    if program.eq_a is None:
+        status, x, duals, pobj, dobj, pres, dres, gap, iters = _solve_cone(c, f0, coeffs, settings)
+        return SolveResult(status, x, pobj + offset, dobj + offset,
+                           _scatter(positions, duals), None, pres, dres, gap, iters)
 
-    (status, x, duals, pobj, dobj, pres, dres, gap, iters) = _solve_cone(
-        c, blocks, settings
+    a, b = program.eq_a, program.eq_b
+    x_part, *_ = np.linalg.lstsq(a, b, rcond=None)
+    zero_duals = _scatter(positions, [np.zeros_like(f) for f in f0])
+    if np.linalg.norm(a @ x_part - b) > 1e-8 * (1.0 + np.linalg.norm(b)):
+        return SolveResult(SolveStatus.INFEASIBLE, x_part, float(c @ x_part + offset),
+                           -np.inf, zero_duals, None, np.inf, np.inf, np.inf, 0)
+    # x = x_part + N z for a null-space basis N; the blocks, affine in z,
+    # are symmetrized since the products are symmetric only up to rounding
+    red_f0 = [_sym(f + np.tensordot(x_part, fk, axes=1)) for f, fk in zip(f0, coeffs)]
+    nullsp = sla.null_space(a)
+    if nullsp.shape[1] == 0:
+        # equalities pin the point; check cone feasibility and report
+        lam = _lam_min(red_f0)
+        status = SolveStatus.OPTIMAL if lam >= -1e-8 * _data_scale(red_f0) else SolveStatus.INFEASIBLE
+        y, *_ = np.linalg.lstsq(a.T, c, rcond=None)
+        obj = float(c @ x_part + offset)
+        return SolveResult(status, x_part, obj, obj, zero_duals, y, max(0.0, -lam), 0.0, 0.0, 0)
+    red_coeffs = [_sym(np.tensordot(nullsp.T, fk, axes=1)) for fk in coeffs]
+    (status, z_red, duals, pobj_r, dobj_r, pres, dres, gap, iters) = _solve_cone(
+        nullsp.T @ c, red_f0, red_coeffs, settings
     )
-    return SolveResult(
-        status, x, pobj + program.offset, dobj + program.offset,
-        tuple(_sym(z) for z in duals), None, pres, dres, gap, iters,
-    )
+    x = x_part + nullsp @ z_red
+    shift = float(c @ x_part)
+    g = sum(np.tensordot(fk, z, axes=3) for fk, z in zip(coeffs, duals))
+    y, *_ = np.linalg.lstsq(a.T, c - g, rcond=None)
+    eq_res = np.linalg.norm(a @ x - b) / (1.0 + np.linalg.norm(b))
+    return SolveResult(status, x, pobj_r + shift + offset, dobj_r + shift + offset,
+                       _scatter(positions, duals), y, max(pres, eq_res), dres, gap, iters)
 
 
 def dump_program(program: ConicProgram, stream=None) -> str:

@@ -132,27 +132,20 @@ def variable_map_for(mu: MomentSequence, nu: MomentSequence, n: int) -> Variable
 
 @dataclass(frozen=True, eq=False)
 class RelaxationProblem:
-    """Assembled level-n relaxation plus the bookkeeping to decode solutions.
+    """Assembled level-n relaxation of dimension ``dim``.
 
-    ``n_variables`` / ``n_equalities`` / ``block_sizes`` describe the
-    mathematical program (both pseudo-moment vectors, explicit equalities,
-    four LMIs); ``program`` is the eliminated conic form actually passed to
-    the solver, whose variables are the phi coordinates only and whose three
-    blocks are M(phi), M(mu) - M(phi) and M(psi): the fourth LMI,
-    M(nu) - M(psi), is the same matrix as M(mu) - M(phi).  ``equilibrations``
-    holds the diagonal congruence applied to each solver block; block duals
-    must be conjugated back by it before any certificate use.
+    ``program`` is the eliminated conic form passed to the solver: its
+    variables are the phi coordinates only, and its three blocks are M(phi),
+    M(mu) - M(phi) and M(psi), since the fourth LMI, M(nu) - M(psi), is the
+    same matrix as M(mu) - M(phi).  ``equilibrations`` holds the diagonal
+    congruence applied to each solver block; block duals must be conjugated
+    back by it before any certificate use.  ``reduced`` says whether the
+    blocks were compressed onto the face that the kernel equalities of
+    ``program`` leave.
     """
 
-    level: int
     dim: int
-    mu_moments: MomentSequence
-    nu_moments: MomentSequence
     program: ConicProgram
-    decode: tuple
-    n_variables: int
-    n_equalities: int
-    block_sizes: tuple
     equilibrations: tuple
     reduced: bool = False
 
@@ -264,13 +257,8 @@ def assemble(
         blocks.append(PsdBlock(f0, coeffs))
 
     program = ConicProgram(c=c, blocks=tuple(blocks), eq_a=eq_a, eq_b=eq_b, offset=offset)
-    alphas = basis_indices(d, 2 * n).indices
-    decode = tuple(("phi", a) for a in alphas) + tuple(("psi", a) for a in alphas)
     return RelaxationProblem(
-        level=n, dim=d, mu_moments=mu, nu_moments=nu, program=program,
-        decode=decode, n_variables=2 * s2n, n_equalities=s2n,
-        block_sizes=(s, s, s, s), equilibrations=(d_mu, d_mu, d_nu),
-        reduced=reduced,
+        dim=d, program=program, equilibrations=(d_mu, d_mu, d_nu), reduced=reduced
     )
 
 

@@ -3,12 +3,15 @@
 The benchmark wraps module attributes of ``tvbound`` to record spans and
 reads fields of the results; a change that breaks either ends a benchmark
 run without its result line.  These tests run the first op of each workload
-the way ``perfbench/run.py`` runs a traced op.  They only read
-``perfbench/``.
+the way ``perfbench/run.py`` runs a traced op, and check that the CLI's
+import-time metric cannot turn the result line into invalid JSON.  They
+only read ``perfbench/``.
 """
 
 import importlib
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -42,3 +45,22 @@ def test_first_op_runs_traced(workload):
     for attrs in solves:
         for key in ("iterations", "residual", "block_order_sum"):
             assert math.isfinite(attrs[key]), (key, attrs)
+
+
+def test_cli_import_time_of_scipy_integrate_is_finite():
+    # A traced run reports the time ``import tvbound.cli`` spends importing
+    # scipy.integrate.  For a module the CLI does not import, run.py's
+    # _importtime_us gives NaN, which json.dumps writes as a bare NaN into
+    # the result line.  This test goes once the benchmark reports 0 there.
+    saved = os.environ.copy()
+    try:
+        run = importlib.import_module("run")  # pins BLAS threads on import
+    finally:
+        os.environ.clear()
+        os.environ.update(saved)
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", "import tvbound.cli"],
+        capture_output=True, text=True, env=run.child_env(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert math.isfinite(run._importtime_us(proc.stderr, "scipy.integrate"))

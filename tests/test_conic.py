@@ -102,31 +102,36 @@ def test_random_instances_match_barrier_oracle():
 MIXED_ORDERS = (3, 1, 3, 2)
 
 
-def mixed_block_program(rng, with_equality=False):
+def mixed_block_program(rng, n_eq=0):
     """A random program over blocks of orders MIXED_ORDERS, and its optimum.
 
-    With ``with_equality`` one random equality through the strictly feasible
-    point is added; the oracle then solves over its null space.
+    ``n_eq`` random equalities through the strictly feasible point are added;
+    the oracle then solves over their null space.  With three of the four
+    variables fixed one is left free, and with four the point is pinned.
     """
     m = 4
     c, block_data, x0 = random_block_sdp(rng, MIXED_ORDERS, m)
     blocks = tuple(PsdBlock(f0, coeffs) for f0, coeffs in block_data)
-    if not with_equality:
+    if n_eq == 0:
         return ConicProgram(c=c, blocks=blocks), barrier_solve(c, block_data, x0)[0]
-    eq_a = rng.standard_normal((1, m))
-    eq_b = eq_a @ x0
-    nullsp = np.linalg.svd(eq_a)[2][1:].T          # (m, m - 1) orthonormal
+    eq_a = rng.standard_normal((n_eq, m))
+    prog = ConicProgram(c=c, blocks=blocks, eq_a=eq_a, eq_b=eq_a @ x0)
+    if n_eq == m:
+        return prog, float(c @ x0)
+    nullsp = np.linalg.svd(eq_a)[2][n_eq:].T       # (m, m - n_eq) orthonormal
     reduced = [(f0 + np.tensordot(x0, coeffs, axes=1), np.tensordot(nullsp.T, coeffs, axes=1))
                for f0, coeffs in block_data]
-    value, _ = barrier_solve(nullsp.T @ c, reduced, np.zeros(m - 1))
-    return ConicProgram(c=c, blocks=blocks, eq_a=eq_a, eq_b=eq_b), value + float(c @ x0)
+    value, _ = barrier_solve(nullsp.T @ c, reduced, np.zeros(m - n_eq))
+    return prog, value + float(c @ x0)
 
 
-@pytest.mark.parametrize("with_equality", [False, True])
-def test_mixed_block_orders_match_barrier_oracle(with_equality):
-    rng = np.random.default_rng(7 if with_equality else 5)
+# 3 equalities leave one free variable (the one-variable solver), 4 pin the
+# point; both exits then see several blocks of mixed orders
+@pytest.mark.parametrize("n_eq", [0, 1, 3, 4])
+def test_mixed_block_orders_match_barrier_oracle(n_eq):
+    rng = np.random.default_rng(5 + 2 * n_eq)
     for _ in range(5):
-        prog, oracle_val = mixed_block_program(rng, with_equality)
+        prog, oracle_val = mixed_block_program(rng, n_eq)
         res = solve(prog, SolverSettings(tol=1e-8, accept_tol=1e-6))
         assert res.status == SolveStatus.OPTIMAL
         assert res.objective == pytest.approx(oracle_val, abs=1e-4)
@@ -135,7 +140,7 @@ def test_mixed_block_orders_match_barrier_oracle(with_equality):
         stationarity = prog.c - sum(
             np.tensordot(blk.coeffs, z, axes=2) for blk, z in zip(prog.blocks, res.block_duals)
         )
-        if with_equality:
+        if n_eq:
             stationarity -= prog.eq_a.T @ res.eq_dual
         assert np.allclose(stationarity, 0.0, atol=1e-5)
         for blk, z in zip(prog.blocks, res.block_duals):
@@ -147,7 +152,7 @@ def test_mixed_block_orders_match_barrier_oracle(with_equality):
 def test_determinism_bit_identical():
     programs = (
         arithmetic_geometric_program(),
-        mixed_block_program(np.random.default_rng(11), with_equality=True)[0],
+        mixed_block_program(np.random.default_rng(11), n_eq=1)[0],
     )
     for prog in programs:
         res1 = solve(prog)
@@ -158,6 +163,13 @@ def test_determinism_bit_identical():
             a.tobytes() == b.tobytes()
             for a, b in zip(res1.block_duals, res2.block_duals)
         )
+
+
+@pytest.mark.parametrize("max_iter", [1, 2, 3, 5])
+def test_max_iter_reports_every_step(max_iter):
+    res = solve(arithmetic_geometric_program(), SolverSettings(max_iter=max_iter))
+    assert res.status == SolveStatus.MAX_ITER
+    assert res.iterations == max_iter
 
 
 def test_no_nan_on_optimal():
