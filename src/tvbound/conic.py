@@ -10,13 +10,15 @@ Everything is dense: the target problems have a handful of blocks of size
 <= ~15 and tens of variables, where an iteration costs calls, not flops.  So
 ``solve`` stacks the blocks of equal order once: each group holds its F_k0 as
 one (g, s, s) array and its F_ki as one (m, g, s, s) array.  The null-space
-elimination of the equalities, the test of a point they pin, the
-one-variable solver and the cone-only core, a Nesterov-Todd scaled
-predictor-corrector method, all work on these stacks, and every exit
-scatters the duals back to input block order.  In the core the affine map,
-its adjoint, the dual projection and the Schur complement are a few matmuls
-per group, and the Cholesky factorizations, the NT-scaling SVD and the
-step-length eigenvalues one batched call each.
+elimination of the equalities, the test of a point they pin, the removal of
+each block's constant kernel (a second facial-reduction step, which the
+kernel equalities of an assembled relaxation leave to do) and the cone-only
+core, a Nesterov-Todd scaled predictor-corrector method, all work on these
+stacks.  Every program with a free variable goes through that core, and
+every exit scatters the duals back to input block order and shape.  In the
+core the affine map, its adjoint, the dual projection and the Schur
+complement are a few matmuls per group, and the Cholesky factorizations, the
+NT-scaling SVD and the step-length eigenvalues one batched call each.
 
 All computations are deterministic: identical inputs and settings produce
 bit-identical outputs.
@@ -29,7 +31,6 @@ import io
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 from scipy.linalg import lapack
 
 
@@ -162,19 +163,63 @@ def _sym(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.swapaxes(-1, -2))
 
 
-def _group(blocks):
-    """Input positions, (g, s, s) F_k0 and (m, g, s, s) F_ki of each order group."""
-    sizes = [blk.size for blk in blocks]
+def _group(pairs):
+    """Input positions, (g, s, s) F_k0 and (m, g, s, s) F_ki of each order group.
+
+    ``pairs`` holds one (F_k0, F_ki) pair per block, in input order.
+    """
+    sizes = [f.shape[0] for f, _ in pairs]
     positions = [[k for k, s in enumerate(sizes) if s == size] for size in dict.fromkeys(sizes)]
-    f0 = [np.stack([blocks[k].f0 for k in ks]) for ks in positions]
-    coeffs = [np.stack([blocks[k].coeffs for k in ks], axis=1) for ks in positions]
+    f0 = [np.stack([pairs[k][0] for k in ks]) for ks in positions]
+    coeffs = [np.stack([pairs[k][1] for k in ks], axis=1) for ks in positions]
     return positions, f0, coeffs
 
 
-def _scatter(positions, stacks) -> tuple:
-    """Symmetric parts of stacked duals, one per input block, in input order."""
+# singular values at or below this share of the largest count as zero, both
+# in the rank of the equalities and in the constant kernels of the blocks
+_RANK_TOL = 1e-8
+
+
+def _drop_kernels(positions, f0, coeffs):
+    """Compress every block with a constant kernel onto its complement.
+
+    The constant kernel of block k, the common null space of F_k0 and all
+    F_ki, is annihilated by S_k(x) at every x, so such a block has no
+    interior point.  It is found with one thin SVD per order group, over each
+    block's matrices stacked with unit Frobenius norms, ranked by
+    ``_RANK_TOL``.  A block with a kernel becomes Q^T S_k(x) Q for the
+    orthonormal basis Q of the complement, and the blocks are regrouped.
+    Returns the stacks and a dict of the bases Q by input position; when it
+    is empty, the stacks are the inputs themselves.
+    """
+    pairs, bases = [None] * sum(map(len, positions)), {}
+    for ks, f, fk in zip(positions, f0, coeffs):
+        mats = np.concatenate([f[None], fk]).swapaxes(0, 1)      # (g, m + 1, s, s)
+        norms = np.sqrt((mats * mats).sum(axis=(2, 3), keepdims=True))
+        scaled = (mats / np.where(norms > 0, norms, 1.0)).reshape(len(ks), -1, f.shape[1])
+        _, sv, vt = np.linalg.svd(scaled, full_matrices=False)
+        for j, (k, rank) in enumerate(zip(ks, (sv > _RANK_TOL * sv[:, :1]).sum(axis=1))):
+            pairs[k] = (f[j], fk[:, j])
+            # a block of zeros only (rank 0) is left to the cone solver as it is
+            if 0 < rank < f.shape[1]:
+                q = bases[k] = vt[j, :rank].T
+                pairs[k] = (_sym(q.T @ f[j] @ q), _sym(q.T @ fk[:, j] @ q))
+    if not bases:
+        return positions, f0, coeffs, bases
+    return (*_group(pairs), bases)
+
+
+def _scatter(positions, stacks, bases=None) -> tuple:
+    """Symmetric parts of stacked duals, one per input block, in input order.
+
+    The dual Z of a block compressed by ``_drop_kernels`` is lifted back to
+    Q Z Q^T with that block's basis Q from ``bases``.
+    """
+    order = sum(positions, [])
     stacked = [z for stack in stacks for z in stack]
-    return tuple(_sym(stacked[j]) for j in np.argsort(sum(positions, [])))
+    if bases:
+        stacked = [bases[k] @ z @ bases[k].T if k in bases else z for k, z in zip(order, stacked)]
+    return tuple(_sym(stacked[j]) for j in np.argsort(order))
 
 
 def _chol(a: np.ndarray):
@@ -235,117 +280,6 @@ def _fro_max(stacks) -> float:
     return max(float(np.sqrt((a * a).sum(axis=(1, 2)).max())) for a in stacks)
 
 
-def _solve_interval(c, f0, coeffs, settings: SolverSettings):
-    """Exact solver for one-variable cone problems, on the stacked blocks.
-
-    lambda(x) = min_k lambda_min(F_k0 + x F_k) is concave, so the feasible
-    set {lambda >= 0} is an interval whose endpoints are located by
-    bisection; the optimum sits at an endpoint (or any feasible point when
-    the objective is flat).  Duals come from the active block's null vector.
-    """
-    c0 = float(c[0])
-    coef = [fk[0] for fk in coeffs]
-
-    def lam(x):
-        return _lam_min([f + x * fk for f, fk in zip(f0, coef)])
-
-    # bracket a maximizer of the concave lambda, then golden-section it;
-    # structurally zero eigenvalues carry O(eps) noise, so feasibility is
-    # judged against a small negative floor
-    scale = _data_scale(f0)
-    feas_floor = -1e-11 * scale
-    lo, hi = -1.0, 1.0
-    for _ in range(60):
-        if lam(lo) > lam(lo + 1e-3 * (hi - lo)):
-            lo *= 2.0
-        elif lam(hi) > lam(hi - 1e-3 * (hi - lo)):
-            hi *= 2.0
-        else:
-            break
-        if hi - lo > 1e14:
-            break
-    a, b_ = lo, hi
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    x1 = b_ - invphi * (b_ - a)
-    x2 = a + invphi * (b_ - a)
-    f1, f2 = lam(x1), lam(x2)
-    for _ in range(200):
-        if b_ - a < 1e-13 * (1.0 + abs(a) + abs(b_)):
-            break
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b_ - a)
-            f2 = lam(x2)
-        else:
-            b_, x2, f2 = x2, x1, f1
-            x1 = b_ - invphi * (b_ - a)
-            f1 = lam(x1)
-    x_top = 0.5 * (a + b_)
-    duals = [np.zeros_like(f) for f in f0]
-    if lam(x_top) < feas_floor:
-        return (SolveStatus.INFEASIBLE, np.array([x_top]), duals,
-                c0 * x_top, -np.inf, np.inf, np.inf, np.inf, 0)
-
-    def boundary(side):
-        # lambda is monotone towards each side of its maximizer
-        step = 1.0
-        outer = x_top
-        for _ in range(200):
-            cand = x_top + side * step
-            if lam(cand) < feas_floor:
-                outer = cand
-                break
-            step *= 2.0
-        else:
-            return side * np.inf
-        inner = x_top
-        for _ in range(200):
-            mid = 0.5 * (inner + outer)
-            if lam(mid) >= feas_floor:
-                inner = mid
-            else:
-                outer = mid
-            if abs(outer - inner) <= 1e-15 * (1.0 + abs(inner)):
-                break
-        return inner
-
-    if c0 > 0:
-        x_star = boundary(-1.0)
-    elif c0 < 0:
-        x_star = boundary(+1.0)
-    else:
-        x_star = x_top
-    if not np.isfinite(x_star):
-        # unbounded objective direction: dual infeasible
-        return (SolveStatus.NUMERICAL_FAILURE, np.array([x_top]), duals,
-                -np.inf, -np.inf, np.inf, np.inf, np.inf, 0)
-
-    dobj = c0 * x_star
-    if c0 != 0.0:
-        # dual support on a null vector of the binding block; among the
-        # near-null directions pick the one that actually blocks the step
-        # (largest |u^T F u| with the PSD-compatible sign)
-        best = None
-        for g, (f, fk) in enumerate(zip(f0, coef)):
-            w, v = np.linalg.eigh(f + x_star * fk)
-            for k, i in zip(*np.nonzero(w <= 1e-8 * scale)):
-                u = v[k, :, i]
-                quad = float(u @ fk[k] @ u)
-                if quad == 0.0 or c0 / quad < 0.0:
-                    continue
-                if best is None or abs(quad) > best[0]:
-                    best = (abs(quad), g, k, c0 / quad, u)
-        if best is not None:
-            _, g, k, theta, u = best
-            duals[g][k] = theta * np.outer(u, u)
-            dobj = -_inner(f0, duals)
-    pres = max(0.0, -lam(x_star)) / scale
-    dres = abs(c0 - _inner(coef, duals)) / (1.0 + abs(c0))
-    gap = abs(c0 * x_star - dobj) / max(1.0, abs(c0 * x_star), abs(dobj))
-    status = SolveStatus.OPTIMAL if max(pres, dres, gap) <= settings.accept else SolveStatus.NUMERICAL_FAILURE
-    return (status, np.array([x_star]), duals, c0 * x_star, dobj, pres, dres, gap, 0)
-
-
 # iterations without halving the best score after which a solve whose best
 # iterate meets ``accept`` is stopped as stalled (see _solve_cone)
 _STALL_WINDOW = 15
@@ -356,9 +290,12 @@ _STEP_FRACTION = 0.98
 def _solve_cone(c, f0, coeffs, settings: SolverSettings):
     """NT-scaled predictor-corrector on the block-diagonal PSD cone.
 
-    Takes the blocks as ``solve`` stacks them (see the module docstring) and
-    returns the duals as the same stacks, which ``solve`` scatters back to
-    input block order.  One-variable problems go to ``_solve_interval``.
+    Takes the blocks as ``solve`` stacks them (see the module docstring),
+    with no equalities and no constant kernel left, and returns the duals as
+    the same stacks, which ``solve`` scatters back to input block order.  The
+    gap score is the larger of <S, Z> and |pobj - dobj|: the latter also
+    carries <rp, Z> + rd.x, so a dual objective that runs off while the
+    residuals look small does not pass.
 
     Stabilizers for the degenerate problems this package produces (loss of
     strict complementarity, nearly singular data):
@@ -388,8 +325,6 @@ def _solve_cone(c, f0, coeffs, settings: SolverSettings):
     m = c.shape[0]
     if m == 0:
         raise ValueError("cone solve needs at least one variable")
-    if m == 1:
-        return _solve_interval(c, f0, coeffs, settings)
 
     ops = [f.reshape(m, -1) for f in coeffs]
     total_dim = sum(f.shape[0] * f.shape[1] for f in f0)
@@ -431,7 +366,7 @@ def _solve_cone(c, f0, coeffs, settings: SolverSettings):
         dobj = -_inner(f0, Z)
         pres = np.sqrt(_inner(rp, rp)) / data_norm
         dres = np.linalg.norm(rd) / c_norm
-        relgap = gap_abs / max(1.0, abs(pobj), abs(dobj))
+        relgap = max(gap_abs, abs(pobj - dobj)) / max(1.0, abs(pobj), abs(dobj))
         # iterates are rebound, never updated in place, so no copies are kept
         snap = {
             "score": max(pres, dres, relgap), "x": x, "Z": Z, "pobj": pobj,
@@ -582,49 +517,57 @@ def solve(program: ConicProgram, settings: SolverSettings | None = None) -> Solv
     Returns a SolveResult whose status is OPTIMAL only when the primal
     residual, dual residual and normalized duality gap are all <= accept
     (``tol`` unless ``accept_tol`` is looser).  Dual block multipliers are
-    always returned for the best iterate seen, in input block order.
+    always returned for the best iterate seen, in input block order and
+    shape.
 
-    The blocks are stacked by order here, once per solve.  The equality
-    elimination, the pinned-point test and both cone solvers work on those
-    stacks, and every exit scatters its duals back with ``_scatter``.
+    The blocks are stacked by order here, once per solve.  On those stacks
+    the equalities are eliminated, a point they pin is tested directly, and
+    the constant kernels are dropped (``_drop_kernels``), so that every
+    program with a free variable reaches ``_solve_cone`` with no face left to
+    restrict to.  Every exit scatters its duals back with ``_scatter``.
     """
     settings = settings or SolverSettings()
     c, offset = program.c, program.offset
-    positions, f0, coeffs = _group(program.blocks)
-
-    if program.eq_a is None:
-        status, x, duals, pobj, dobj, pres, dres, gap, iters = _solve_cone(c, f0, coeffs, settings)
-        return SolveResult(status, x, pobj + offset, dobj + offset,
-                           _scatter(positions, duals), None, pres, dres, gap, iters)
-
     a, b = program.eq_a, program.eq_b
-    x_part, *_ = np.linalg.lstsq(a, b, rcond=None)
-    zero_duals = _scatter(positions, [np.zeros_like(f) for f in f0])
-    if np.linalg.norm(a @ x_part - b) > 1e-8 * (1.0 + np.linalg.norm(b)):
-        return SolveResult(SolveStatus.INFEASIBLE, x_part, float(c @ x_part + offset),
-                           -np.inf, zero_duals, None, np.inf, np.inf, np.inf, 0)
-    # x = x_part + N z for a null-space basis N; the blocks, affine in z,
-    # are symmetrized since the products are symmetric only up to rounding
-    red_f0 = [_sym(f + np.tensordot(x_part, fk, axes=1)) for f, fk in zip(f0, coeffs)]
-    nullsp = sla.null_space(a)
-    if nullsp.shape[1] == 0:
-        # equalities pin the point; check cone feasibility and report
-        lam = _lam_min(red_f0)
-        status = SolveStatus.OPTIMAL if lam >= -1e-8 * _data_scale(red_f0) else SolveStatus.INFEASIBLE
-        y, *_ = np.linalg.lstsq(a.T, c, rcond=None)
-        obj = float(c @ x_part + offset)
-        return SolveResult(status, x_part, obj, obj, zero_duals, y, max(0.0, -lam), 0.0, 0.0, 0)
-    red_coeffs = [_sym(np.tensordot(nullsp.T, fk, axes=1)) for fk in coeffs]
-    (status, z_red, duals, pobj_r, dobj_r, pres, dres, gap, iters) = _solve_cone(
-        nullsp.T @ c, red_f0, red_coeffs, settings
-    )
-    x = x_part + nullsp @ z_red
+    positions, f0, coeffs = _group([(blk.f0, blk.coeffs) for blk in program.blocks])
+    c_red = c
+    if a is not None:
+        x_part, *_ = np.linalg.lstsq(a, b, rcond=None)
+        zero_duals = _scatter(positions, [np.zeros_like(f) for f in f0])
+        if np.linalg.norm(a @ x_part - b) > 1e-8 * (1.0 + np.linalg.norm(b)):
+            return SolveResult(SolveStatus.INFEASIBLE, x_part, float(c @ x_part + offset),
+                               -np.inf, zero_duals, None, np.inf, np.inf, np.inf, 0)
+        # x = x_part + N z for a null-space basis N, ranked on unit-norm rows
+        # since the rows' norms may differ by many orders of magnitude; the
+        # blocks, affine in z, are symmetrized since the products are
+        # symmetric only up to rounding
+        f0 = [_sym(f + np.tensordot(x_part, fk, axes=1)) for f, fk in zip(f0, coeffs)]
+        norms = np.linalg.norm(a, axis=1, keepdims=True)
+        _, sv, vt = np.linalg.svd(a / np.where(norms > 0, norms, 1.0),
+                                  full_matrices=a.shape[0] < a.shape[1])
+        nullsp = vt[int((sv > _RANK_TOL * sv[:1]).sum()):].T
+        if nullsp.shape[1] == 0:
+            # equalities pin the point; check cone feasibility and report
+            lam = _lam_min(f0)
+            status = SolveStatus.OPTIMAL if lam >= -1e-8 * _data_scale(f0) else SolveStatus.INFEASIBLE
+            y, *_ = np.linalg.lstsq(a.T, c, rcond=None)
+            obj = float(c @ x_part + offset)
+            return SolveResult(status, x_part, obj, obj, zero_duals, y, max(0.0, -lam), 0.0, 0.0, 0)
+        coeffs = [_sym(np.tensordot(nullsp.T, fk, axes=1)) for fk in coeffs]
+        c_red = nullsp.T @ c
+
+    positions, f0, coeffs, bases = _drop_kernels(positions, f0, coeffs)
+    status, z, duals, pobj, dobj, pres, dres, gap, iters = _solve_cone(c_red, f0, coeffs, settings)
+    duals = _scatter(positions, duals, bases)
+    if a is None:
+        return SolveResult(status, z, pobj + offset, dobj + offset, duals, None, pres, dres, gap, iters)
+    x = x_part + nullsp @ z
     shift = float(c @ x_part)
-    g = sum(np.tensordot(fk, z, axes=3) for fk, z in zip(coeffs, duals))
+    g = sum(np.tensordot(blk.coeffs, zk, axes=2) for blk, zk in zip(program.blocks, duals))
     y, *_ = np.linalg.lstsq(a.T, c - g, rcond=None)
     eq_res = np.linalg.norm(a @ x - b) / (1.0 + np.linalg.norm(b))
-    return SolveResult(status, x, pobj_r + shift + offset, dobj_r + shift + offset,
-                       _scatter(positions, duals), y, max(pres, eq_res), dres, gap, iters)
+    return SolveResult(status, x, pobj + shift + offset, dobj + shift + offset,
+                       duals, y, max(pres, eq_res), dres, gap, iters)
 
 
 def dump_program(program: ConicProgram, stream=None) -> str:

@@ -23,8 +23,10 @@ Numerics.  Three exact reformulations precondition the solve:
 * when the data moment matrices are exactly singular (atomic inputs at or
   above the exactness level), the feasible set lies on a face of the cone:
   ``kernel_reduce`` pins M_n(phi), M_n(psi) on those kernels via equalities
-  and compresses the blocks onto the complementary face, restoring strict
-  feasibility.
+  and compresses the blocks onto the complementary face.  That face need
+  not be the minimal one; ``conic.solve`` drops the constant kernels the
+  blocks still have once the equalities are eliminated, which restores
+  strict feasibility.
 """
 
 from __future__ import annotations
@@ -56,10 +58,6 @@ def _structure_tensor(d: int, n: int) -> np.ndarray:
         tensor[a][table == a] = 1.0
     tensor.setflags(write=False)
     return tensor
-
-
-def _conjugate(p: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    return np.einsum("ji,mjk,kl->mil", p, mats, p, optimize=True)
 
 
 @dataclass(frozen=True)
@@ -253,7 +251,7 @@ def assemble(
     for (f0, coeffs), basis in zip(block_data, bases):
         if basis is not None:
             f0 = basis.T @ f0 @ basis
-            coeffs = _conjugate(basis, coeffs)
+            coeffs = basis.T @ coeffs @ basis
         blocks.append(PsdBlock(f0, coeffs))
 
     program = ConicProgram(c=c, blocks=tuple(blocks), eq_a=eq_a, eq_b=eq_b, offset=offset)

@@ -3,9 +3,9 @@
 The benchmark wraps module attributes of ``tvbound`` to record spans and
 reads fields of the results; a change that breaks either ends a benchmark
 run without its result line.  These tests run the first op of each workload
-the way ``perfbench/run.py`` runs a traced op, and check that the CLI's
-import-time metric cannot turn the result line into invalid JSON.  They
-only read ``perfbench/``.
+(and the ops in ``EXTRA_OPS``) the way ``perfbench/run.py`` runs a traced
+op, and check that the CLI's import-time metric cannot turn the result line
+into invalid JSON.  They only read ``perfbench/``.
 """
 
 import importlib
@@ -31,20 +31,28 @@ def test_wrapped_attributes_resolve():
         assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
 
 
+# ops run besides each workload's first: EX3 n=4 has one free variable and
+# blocks with a constant kernel
+EXTRA_OPS = {"atomic_exact": ("EX3 n=4",)}
+
+
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_first_op_runs_traced(workload):
-    op = workloads.build_ops(workload)[0]
-    workloads.prepare([op])
-    recorder = Recorder()
-    with recorder.installed():
-        out = workloads.describe(op, *workloads.run_op(op))
-    workloads.check(op, out)
-    assert out.error == ""
-    solves = [attrs for name, *_, attrs in recorder.spans if name == "conic.solve"]
-    assert solves
-    for attrs in solves:
-        for key in ("iterations", "residual", "block_order_sum"):
-            assert math.isfinite(attrs[key]), (key, attrs)
+    ops = workloads.build_ops(workload)
+    ops = ops[:1] + [op for op in ops if op.name in EXTRA_OPS.get(workload, ())]
+    assert len(ops) == 1 + len(EXTRA_OPS.get(workload, ()))
+    workloads.prepare(ops)
+    for op in ops:
+        recorder = Recorder()
+        with recorder.installed():
+            out = workloads.describe(op, *workloads.run_op(op))
+        workloads.check(op, out)
+        assert out.error == "", op.name
+        solves = [attrs for name, *_, attrs in recorder.spans if name == "conic.solve"]
+        assert solves
+        for attrs in solves:
+            for key in ("iterations", "residual", "block_order_sum"):
+                assert math.isfinite(attrs[key]), (op.name, key, attrs)
 
 
 def test_cli_import_time_of_scipy_integrate_is_finite():

@@ -125,8 +125,8 @@ def mixed_block_program(rng, n_eq=0):
     return prog, value + float(c @ x0)
 
 
-# 3 equalities leave one free variable (the one-variable solver), 4 pin the
-# point; both exits then see several blocks of mixed orders
+# 3 equalities leave one free variable, 4 pin the point; both then see
+# several blocks of mixed orders
 @pytest.mark.parametrize("n_eq", [0, 1, 3, 4])
 def test_mixed_block_orders_match_barrier_oracle(n_eq):
     rng = np.random.default_rng(5 + 2 * n_eq)
@@ -193,6 +193,32 @@ def test_equality_constraints():
     # stationarity: c - adjoint(Z) = A^T y
     g = np.tensordot(base.blocks[0].coeffs, res.block_duals[0], axes=([1, 2], [0, 1]))
     assert np.allclose(base.c - g, prog.eq_a.T @ res.eq_dual, atol=1e-5)
+
+
+def padded_arithmetic_geometric_program(eq_a=None, eq_b=None):
+    # the arithmetic/geometric block with a zero row and column: S(x) has a
+    # constant kernel, so the program has no interior point until it is dropped
+    base = arithmetic_geometric_program()
+    f0 = np.pad(base.blocks[0].f0, ((0, 1), (0, 1)))
+    coeffs = np.pad(base.blocks[0].coeffs, ((0, 0), (0, 1), (0, 1)))
+    return ConicProgram(c=base.c, blocks=(PsdBlock(f0, coeffs),), eq_a=eq_a, eq_b=eq_b)
+
+
+# alone the optimum is 2; with x1 = 2 pinned it is 2.5, with one free variable
+@pytest.mark.parametrize("pinned, optimum", [(False, 2.0), (True, 2.5)])
+def test_constant_kernel_is_dropped(pinned, optimum):
+    eq = (np.array([[1.0, 0.0]]), np.array([2.0])) if pinned else (None, None)
+    prog = padded_arithmetic_geometric_program(*eq)
+    res = solve(prog)
+    assert res.status == SolveStatus.OPTIMAL
+    assert res.objective == pytest.approx(optimum, abs=1e-6)
+    (z,) = res.block_duals
+    assert z.shape == (3, 3)
+    assert np.allclose(z[2], 0.0, atol=1e-12) and np.allclose(z[:, 2], 0.0, atol=1e-12)
+    stationarity = prog.c - np.tensordot(prog.blocks[0].coeffs, z, axes=2)
+    if pinned:
+        stationarity -= prog.eq_a.T @ res.eq_dual
+    assert np.allclose(stationarity, 0.0, atol=1e-6)
 
 
 def test_fully_pinned_equalities():

@@ -4,7 +4,7 @@ import pytest
 from tvbound.conic import SolveStatus, SolveResult
 from tvbound.errors import DegreeTooLow, DimensionMismatch, SolverFailure
 from tvbound.indexing import basis_size
-from tvbound.measures import Atomic, Gaussian, moments
+from tvbound.measures import Atomic, Gaussian, exact_tv_univariate_density, moments
 from tvbound.moments import moment_matrix
 from tvbound.relaxation import (
     HierarchySettings,
@@ -107,6 +107,36 @@ def test_hierarchy_discrete_table():
     sweep = solve_hierarchy(mu, nu, [4, 5])
     for res in sweep:
         assert res.rho == pytest.approx(2.0, abs=1e-3)
+
+
+def test_hierarchy_close_atoms_above_exactness():
+    # four atoms against four sharing the atom 0.3 (TV 1.5): with the kernel
+    # reduction on, every level past exactness keeps a free variable whose
+    # blocks still have a constant kernel
+    mu = Atomic.univariate([0.0, 0.3, 0.4, 0.9], [0.25] * 4)
+    nu = Atomic.univariate([0.3, 0.6, 0.7, 1.2], [0.25] * 4)
+    settings = HierarchySettings()
+    for res in solve_hierarchy(mu, nu, range(4, 11), settings):
+        assert res.status == SolveStatus.OPTIMAL, res.level
+        assert abs(res.rho - 1.5) <= settings.accept_tol, res.level
+
+
+def test_no_optimal_bound_above_total_variation():
+    # levels where a gap score of <S, Z> alone passed a dual objective that
+    # had run off, and the solve reported Optimal with rho far above the TV
+    settings = HierarchySettings()
+    cases = (
+        ((0.8, 0.05), (1.0, 0.01), 6),
+        ((0.0, 0.1), (1.0, 0.5), 11),
+        ((0.0, 0.1), (1.0, 0.5), 13),
+    )
+    for (m1, s1), (m2, s2), n in cases:
+        mu, nu = Gaussian(m1, s1), Gaussian(m2, s2)
+        tv = exact_tv_univariate_density(mu, nu)
+        res = solve_hierarchy(mu, nu, [n], settings)[0]
+        if res.status == SolveStatus.OPTIMAL:
+            assert res.rho <= tv + settings.accept_tol, (m1, s1, m2, s2, n, res.rho)
+            assert res.rho <= 2.0, (m1, s1, m2, s2, n, res.rho)
 
 
 def test_hierarchy_equal_measures_zero():
