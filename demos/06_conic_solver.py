@@ -26,15 +26,16 @@ print(f"dual matrix :\n{result.block_duals[0]}")
 print(f"residuals   : primal {result.primal_residual:.1e}, "
       f"dual {result.dual_residual:.1e}, gap {result.gap:.1e}")
 
-# equality constraints are eliminated internally: add x1 = 2
-program_eq = ConicProgram(
-    c=np.array([1.0, 1.0]),
-    blocks=(PsdBlock(f0, coeffs),),
-    eq_a=np.array([[1.0, 0.0]]),
-    eq_b=np.array([2.0]),
+# the solver takes PSD blocks only; an equality is substituted out by the
+# caller: x1 = 2 leaves the variable x2, with the constant x1 in the offset
+program_pinned = ConicProgram(
+    c=np.array([1.0]),
+    blocks=(PsdBlock(f0 + 2.0 * coeffs[0], coeffs[1:]),),
+    offset=2.0,
 )
-result_eq = solve(program_eq)
-print(f"\nwith x1 pinned to 2: objective {result_eq.objective:.9f} at x = {result_eq.x}")
+result_pinned = solve(program_pinned)
+print(f"\nwith x1 pinned to 2: objective {result_pinned.objective:.9f} "
+      f"at x2 = {result_pinned.x[0]:.9f}")
 
 print("\ndebug dump of the program:")
 dump_program(program, sys.stdout)

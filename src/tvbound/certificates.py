@@ -138,8 +138,9 @@ def recover_certificate(result: HierarchyResult) -> DualCertificate:
     the certified value (see the module docstring).
 
     Requires an Optimal solve without the kernel-face reduction (use
-    ``HierarchySettings(certify=True)``), since compressed blocks do not
-    carry full-size multipliers.
+    ``HierarchySettings(certify=True)``): on the face the blocks are
+    compressed and the variable is z in phi = x0 + N z, so the multipliers
+    are neither full size nor stationary in phi.
     """
     if result.status != SolveStatus.OPTIMAL:
         raise ValueError("certificate recovery needs an Optimal solve")

@@ -240,12 +240,7 @@ def _atoms_payload(measure) -> list:
 
 def cmd_extract(cfg: RunConfig) -> int:
     level = max(cfg.levels)
-    try:
-        sweep = solve_hierarchy(cfg.mu, cfg.nu, [level], cfg.settings)
-    except TvBoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    res = sweep[0]
+    res = solve_hierarchy(cfg.mu, cfg.nu, [level], cfg.settings)[0]
     if res.status != SolveStatus.OPTIMAL:
         print(f"error: level {level} solve ended {res.status.value}", file=sys.stderr)
         return EXIT_SOLVER
@@ -301,12 +296,7 @@ def cmd_moments(cfg: RunConfig) -> int:
 
 def cmd_certify(cfg: RunConfig) -> int:
     level = max(cfg.levels)
-    try:
-        sweep = solve_hierarchy(cfg.mu, cfg.nu, [level], replace(cfg.settings, certify=True))
-    except TvBoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    res = sweep[0]
+    res = solve_hierarchy(cfg.mu, cfg.nu, [level], replace(cfg.settings, certify=True))[0]
     if res.status != SolveStatus.OPTIMAL or res.certificate is None:
         print(f"error: level {level} solve ended {res.status.value}", file=sys.stderr)
         return EXIT_SOLVER

@@ -3,22 +3,20 @@
 Problem form:
 
     minimize    c @ x  (+ offset)
-    subject to  eq_a @ x = eq_b                      (optional)
-                F_k0 + sum_i x_i F_ki  >= 0  (PSD)   for each block k
+    subject to  F_k0 + sum_i x_i F_ki  >= 0  (PSD)   for each block k
 
 Everything is dense: the target problems have a handful of blocks of size
 <= ~15 and tens of variables, where an iteration costs calls, not flops.  So
 ``solve`` stacks the blocks of equal order once: each group holds its F_k0 as
-one (g, s, s) array and its F_ki as one (m, g, s, s) array.  The null-space
-elimination of the equalities, the test of a point they pin, the removal of
-each block's constant kernel (a second facial-reduction step, which the
-kernel equalities of an assembled relaxation leave to do) and the cone-only
-core, a Nesterov-Todd scaled predictor-corrector method, all work on these
-stacks.  Every program with a free variable goes through that core, and
-every exit scatters the duals back to input block order and shape.  In the
-core the affine map, its adjoint, the dual projection and the Schur
-complement are a few matmuls per group, and the Cholesky factorizations, the
-NT-scaling SVD and the step-length eigenvalues one batched call each.
+one (g, s, s) array and its F_ki as one (m, g, s, s) array.  The removal of
+each block's constant kernel (a facial-reduction step, which the kernel face
+of an assembled relaxation leaves to do) and the cone-only core, a
+Nesterov-Todd scaled predictor-corrector method, both work on these stacks.
+Every program with a variable goes through that core, and every exit
+scatters the duals back to input block order and shape.  In the core the
+affine map, its adjoint, the dual projection and the Schur complement are a
+few matmuls per group, and the Cholesky factorizations, the NT-scaling SVD
+and the step-length eigenvalues one batched call each.
 
 All computations are deterministic: identical inputs and settings produce
 bit-identical outputs.
@@ -75,8 +73,6 @@ class PsdBlock:
 class ConicProgram:
     c: np.ndarray
     blocks: tuple
-    eq_a: np.ndarray | None = None
-    eq_b: np.ndarray | None = None
     offset: float = 0.0
 
     def __post_init__(self):
@@ -90,17 +86,6 @@ class ConicProgram:
             if blk.coeffs.shape[0] != c.shape[0]:
                 raise ValueError("block coefficient count must match len(c)")
         object.__setattr__(self, "blocks", blocks)
-        if (self.eq_a is None) != (self.eq_b is None):
-            raise ValueError("eq_a and eq_b must be given together")
-        if self.eq_a is not None:
-            a = np.asarray(self.eq_a, dtype=float)
-            b = np.asarray(self.eq_b, dtype=float).reshape(-1)
-            if a.shape != (b.shape[0], c.shape[0]):
-                raise ValueError("equalities must be (p, m) with b of length p")
-            a.setflags(write=False)
-            b.setflags(write=False)
-            object.__setattr__(self, "eq_a", a)
-            object.__setattr__(self, "eq_b", b)
 
     @property
     def n_vars(self) -> int:
@@ -142,7 +127,6 @@ class SolveResult:
     objective: float
     dual_objective: float
     block_duals: tuple
-    eq_dual: np.ndarray | None
     primal_residual: float
     dual_residual: float
     gap: float
@@ -176,8 +160,20 @@ def _group(pairs):
 
 
 # singular values at or below this share of the largest count as zero, both
-# in the rank of the equalities and in the constant kernels of the blocks
+# in ``null_space`` and in the constant kernels of the blocks
 _RANK_TOL = 1e-8
+
+
+def null_space(a: np.ndarray) -> np.ndarray:
+    """Orthonormal basis, as columns, of the null space of the rows of ``a``.
+
+    The rows are scaled to unit norm before the SVD, since their norms may
+    differ by many orders of magnitude, and the rank is cut at ``_RANK_TOL``.
+    """
+    norms = np.linalg.norm(a, axis=1, keepdims=True)
+    _, sv, vt = np.linalg.svd(a / np.where(norms > 0, norms, 1.0),
+                              full_matrices=a.shape[0] < a.shape[1])
+    return vt[int((sv > _RANK_TOL * sv[:1]).sum()):].T
 
 
 def _drop_kernels(positions, f0, coeffs):
@@ -291,11 +287,11 @@ def _solve_cone(c, f0, coeffs, settings: SolverSettings):
     """NT-scaled predictor-corrector on the block-diagonal PSD cone.
 
     Takes the blocks as ``solve`` stacks them (see the module docstring),
-    with no equalities and no constant kernel left, and returns the duals as
-    the same stacks, which ``solve`` scatters back to input block order.  The
-    gap score is the larger of <S, Z> and |pobj - dobj|: the latter also
-    carries <rp, Z> + rd.x, so a dual objective that runs off while the
-    residuals look small does not pass.
+    with at least one variable and no constant kernel left, and returns the
+    duals as the same stacks, which ``solve`` scatters back to input block
+    order.  The gap score is the larger of <S, Z> and |pobj - dobj|: the
+    latter also carries <rp, Z> + rd.x, so a dual objective that runs off
+    while the residuals look small does not pass.
 
     Stabilizers for the degenerate problems this package produces (loss of
     strict complementarity, nearly singular data):
@@ -323,9 +319,6 @@ def _solve_cone(c, f0, coeffs, settings: SolverSettings):
       move the score within its rounding noise.
     """
     m = c.shape[0]
-    if m == 0:
-        raise ValueError("cone solve needs at least one variable")
-
     ops = [f.reshape(m, -1) for f in coeffs]
     total_dim = sum(f.shape[0] * f.shape[1] for f in f0)
     data_norm = _data_scale(f0)
@@ -520,54 +513,27 @@ def solve(program: ConicProgram, settings: SolverSettings | None = None) -> Solv
     always returned for the best iterate seen, in input block order and
     shape.
 
-    The blocks are stacked by order here, once per solve.  On those stacks
-    the equalities are eliminated, a point they pin is tested directly, and
-    the constant kernels are dropped (``_drop_kernels``), so that every
-    program with a free variable reaches ``_solve_cone`` with no face left to
-    restrict to.  Every exit scatters its duals back with ``_scatter``.
+    The blocks are stacked by order here, once per solve.  A program with no
+    variable has the one point F_0, which is tested directly.  Otherwise the
+    constant kernels are dropped (``_drop_kernels``), so that the program
+    reaches ``_solve_cone`` with no face left to restrict to.  Every exit
+    scatters its duals back with ``_scatter``.
     """
     settings = settings or SolverSettings()
-    c, offset = program.c, program.offset
-    a, b = program.eq_a, program.eq_b
+    offset = program.offset
     positions, f0, coeffs = _group([(blk.f0, blk.coeffs) for blk in program.blocks])
-    c_red = c
-    if a is not None:
-        x_part, *_ = np.linalg.lstsq(a, b, rcond=None)
+    if program.n_vars == 0:
+        lam = _lam_min(f0)
+        status = SolveStatus.OPTIMAL if lam >= -1e-8 * _data_scale(f0) else SolveStatus.INFEASIBLE
         zero_duals = _scatter(positions, [np.zeros_like(f) for f in f0])
-        if np.linalg.norm(a @ x_part - b) > 1e-8 * (1.0 + np.linalg.norm(b)):
-            return SolveResult(SolveStatus.INFEASIBLE, x_part, float(c @ x_part + offset),
-                               -np.inf, zero_duals, None, np.inf, np.inf, np.inf, 0)
-        # x = x_part + N z for a null-space basis N, ranked on unit-norm rows
-        # since the rows' norms may differ by many orders of magnitude; the
-        # blocks, affine in z, are symmetrized since the products are
-        # symmetric only up to rounding
-        f0 = [_sym(f + np.tensordot(x_part, fk, axes=1)) for f, fk in zip(f0, coeffs)]
-        norms = np.linalg.norm(a, axis=1, keepdims=True)
-        _, sv, vt = np.linalg.svd(a / np.where(norms > 0, norms, 1.0),
-                                  full_matrices=a.shape[0] < a.shape[1])
-        nullsp = vt[int((sv > _RANK_TOL * sv[:1]).sum()):].T
-        if nullsp.shape[1] == 0:
-            # equalities pin the point; check cone feasibility and report
-            lam = _lam_min(f0)
-            status = SolveStatus.OPTIMAL if lam >= -1e-8 * _data_scale(f0) else SolveStatus.INFEASIBLE
-            y, *_ = np.linalg.lstsq(a.T, c, rcond=None)
-            obj = float(c @ x_part + offset)
-            return SolveResult(status, x_part, obj, obj, zero_duals, y, max(0.0, -lam), 0.0, 0.0, 0)
-        coeffs = [_sym(np.tensordot(nullsp.T, fk, axes=1)) for fk in coeffs]
-        c_red = nullsp.T @ c
+        return SolveResult(status, np.zeros(0), offset, offset, zero_duals,
+                           max(0.0, -lam), 0.0, 0.0, 0)
 
     positions, f0, coeffs, bases = _drop_kernels(positions, f0, coeffs)
-    status, z, duals, pobj, dobj, pres, dres, gap, iters = _solve_cone(c_red, f0, coeffs, settings)
+    status, x, duals, pobj, dobj, pres, dres, gap, iters = _solve_cone(
+        program.c, f0, coeffs, settings)
     duals = _scatter(positions, duals, bases)
-    if a is None:
-        return SolveResult(status, z, pobj + offset, dobj + offset, duals, None, pres, dres, gap, iters)
-    x = x_part + nullsp @ z
-    shift = float(c @ x_part)
-    g = sum(np.tensordot(blk.coeffs, zk, axes=2) for blk, zk in zip(program.blocks, duals))
-    y, *_ = np.linalg.lstsq(a.T, c - g, rcond=None)
-    eq_res = np.linalg.norm(a @ x - b) / (1.0 + np.linalg.norm(b))
-    return SolveResult(status, x, pobj + shift + offset, dobj + shift + offset,
-                       duals, y, max(pres, eq_res), dres, gap, iters)
+    return SolveResult(status, x, pobj + offset, dobj + offset, duals, pres, dres, gap, iters)
 
 
 def dump_program(program: ConicProgram, stream=None) -> str:
@@ -584,8 +550,6 @@ def dump_program(program: ConicProgram, stream=None) -> str:
                                        # matno 0 encodes F_k0, matno t >= 1
                                        # encodes the coefficient of x_{t-1};
                                        # upper triangle only
-        eq <row> <col|rhs> ...         # 'a <row> <col> <value>' and
-        b <row> <value>                #  right-hand sides, when present
 
     Returns the text; also writes it to ``stream`` when given.
     """
@@ -609,13 +573,6 @@ def dump_program(program: ConicProgram, stream=None) -> str:
                 for j in range(i, s):
                     if blk.coeffs[t, i, j] != 0.0:
                         out.write(f"f {t + 1} {k} {i} {j} {float(blk.coeffs[t, i, j])!r}\n")
-    if program.eq_a is not None:
-        rows, cols = np.nonzero(program.eq_a)
-        for r, cidx in zip(rows, cols):
-            out.write(f"a {r} {cidx} {float(program.eq_a[r, cidx])!r}\n")
-        for r, v in enumerate(program.eq_b):
-            if v != 0.0:
-                out.write(f"b {r} {float(v)!r}\n")
     text = out.getvalue()
     if stream is not None:
         stream.write(text)

@@ -22,11 +22,11 @@ Numerics.  Three exact reformulations precondition the solve:
   congruence and changes nothing mathematically;
 * when the data moment matrices are exactly singular (atomic inputs at or
   above the exactness level), the feasible set lies on a face of the cone:
-  ``kernel_reduce`` pins M_n(phi), M_n(psi) on those kernels via equalities
-  and compresses the blocks onto the complementary face.  That face need
-  not be the minimal one; ``conic.solve`` drops the constant kernels the
-  blocks still have once the equalities are eliminated, which restores
-  strict feasibility.
+  ``kernel_reduce`` compresses the blocks onto the complement of those
+  kernels and parametrizes the phi that annihilate them as phi = x0 + N z,
+  so the solver's variable is z.  That face need not be the minimal one;
+  ``conic.solve`` drops the constant kernels the blocks still have, which
+  restores strict feasibility.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from math import comb
 import numpy as np
 
 from . import conic
-from .conic import ConicProgram, PsdBlock, SolveResult, SolveStatus, SolverSettings
+from .conic import ConicProgram, PsdBlock, SolveResult, SolveStatus, SolverSettings, _sym
 from .errors import DegreeTooLow, DimensionMismatch, SolverFailure
 from .indexing import basis_indices, basis_size
 from .measures import MeasureSpec, moments
@@ -104,7 +104,6 @@ def variable_map_for(mu: MomentSequence, nu: MomentSequence, n: int) -> Variable
             mass = seq.values[0]
             if mass <= 0:
                 return 1.0
-            basis = seq.basis
             r = 0.0
             for i in range(seq.dim):
                 alpha = tuple(2 * n if j == i else 0 for j in range(seq.dim))
@@ -137,15 +136,21 @@ class RelaxationProblem:
     M(mu) - M(phi) and M(psi), since the fourth LMI, M(nu) - M(psi), is the
     same matrix as M(mu) - M(phi).  ``equilibrations`` holds the diagonal
     congruence applied to each solver block; block duals must be conjugated
-    back by it before any certificate use.  ``reduced`` says whether the
-    blocks were compressed onto the face that the kernel equalities of
-    ``program`` leave.
+    back by it before any certificate use.  On a reduced program the blocks
+    are compressed onto the kernel face, and the variable is z in
+    phi = x0 + null_basis @ z; otherwise ``x0`` and ``null_basis`` are None
+    and the variable is phi itself.
     """
 
     dim: int
     program: ConicProgram
     equilibrations: tuple
-    reduced: bool = False
+    x0: np.ndarray | None = None
+    null_basis: np.ndarray | None = None
+
+    @property
+    def reduced(self) -> bool:
+        return self.null_basis is not None
 
 
 def _equilibration(mat: np.ndarray) -> np.ndarray:
@@ -216,9 +221,7 @@ def assemble(
         (em_nu_side, t_nu),              # M(psi) >= 0
     ]
 
-    eq_a = eq_b = None
-    reduced = False
-    bases = [None] * 3
+    x0 = null_basis = None
     if kernel_reduce:
         # kernels of the data matrices, in their equilibrated frames
         p_mu, k_mu = _exact_kernel(em_mu)
@@ -242,21 +245,27 @@ def assemble(
             # structure; bail out of the reduction otherwise
             sol, *_ = np.linalg.lstsq(eq_a, eq_b, rcond=None)
             if np.linalg.norm(eq_a @ sol - eq_b) <= 1e-9 * (1.0 + np.linalg.norm(eq_b)):
-                bases = [p_mu, p_mu, p_nu]
-                reduced = True
-            else:
-                eq_a = eq_b = None
+                x0, null_basis = sol, conic.null_space(eq_a)
+                # compress onto the face, then substitute phi = x0 + N z;
+                # the sums are symmetric only up to rounding
+                block_data = [
+                    (basis.T @ f0 @ basis, basis.T @ coeffs @ basis)
+                    for (f0, coeffs), basis in zip(block_data, (p_mu, p_mu, p_nu))
+                ]
+                block_data = [
+                    (_sym(f0 + np.tensordot(x0, coeffs, axes=1)),
+                     _sym(np.tensordot(null_basis.T, coeffs, axes=1)))
+                    for f0, coeffs in block_data
+                ]
+                offset += float(c @ x0)
+                c = null_basis.T @ c
 
-    blocks = []
-    for (f0, coeffs), basis in zip(block_data, bases):
-        if basis is not None:
-            f0 = basis.T @ f0 @ basis
-            coeffs = basis.T @ coeffs @ basis
-        blocks.append(PsdBlock(f0, coeffs))
-
-    program = ConicProgram(c=c, blocks=tuple(blocks), eq_a=eq_a, eq_b=eq_b, offset=offset)
+    program = ConicProgram(
+        c=c, blocks=tuple(PsdBlock(f0, coeffs) for f0, coeffs in block_data), offset=offset
+    )
     return RelaxationProblem(
-        dim=d, program=program, equilibrations=(d_mu, d_mu, d_nu), reduced=reduced
+        dim=d, program=program, equilibrations=(d_mu, d_mu, d_nu),
+        x0=x0, null_basis=null_basis,
     )
 
 
@@ -361,8 +370,9 @@ def solve_level(
     res = conic.solve(problem.program, settings.solver_settings())
     wall_ms = (time.perf_counter() - start) * 1e3
 
-    phi_s = MomentSequence(mu.dim, 2 * n, res.x)
-    psi_s = MomentSequence(mu.dim, 2 * n, res.x - (mu_s.values - nu_s.values))
+    x = res.x if problem.null_basis is None else problem.x0 + problem.null_basis @ res.x
+    phi_s = MomentSequence(mu.dim, 2 * n, x)
+    psi_s = MomentSequence(mu.dim, 2 * n, x - (mu_s.values - nu_s.values))
     phi = var_map.seq_from_solver(phi_s)
     psi = MomentSequence(mu.dim, 2 * n, phi.values - (mu2n.values - nu2n.values))
     rho = float(res.dual_objective)

@@ -116,29 +116,28 @@ def test_trivial_certificate_is_valid_but_loose():
 
 
 def test_p_reconstruction_matches_equality_multipliers():
-    # solve the non-eliminated n=1 program (variables phi and psi, explicit
-    # equalities); the stationarity reconstruction p = psi0 - psi1 - 1
-    # applied to its block duals must reproduce its equality multipliers,
-    # which are the textbook definition of p
+    # solve the n=1 program with its four blocks (psi eliminated by hand as
+    # psi = phi - (mu - nu)); the stationarity reconstruction
+    # p = psi0 - psi1 - 1 applied to its block duals must reproduce the
+    # multiplier of the equalities phi - psi = mu - nu, which is the textbook
+    # definition of p.  That multiplier is read from the phi side of the
+    # stationarity of the program with both phi and psi: c_phi - sum F*(Z)
+    # over the two phi blocks
     mu, nu = gaussian_pair(0.0, 0.1, 1.0, 0.1, 2)
     res = solve_level(mu, nu, 1, HierarchySettings(certify=True, scale=False))
 
     tensor = _structure_tensor(1, 1)  # (3, 2, 2)
-    zero3 = np.zeros((3, 2, 2))
     m_mu = np.array([[mu[0], mu[1]], [mu[1], mu[2]]])
     m_nu = np.array([[nu[0], nu[1]], [nu[1], nu[2]]])
     blocks = (
-        PsdBlock(np.zeros((2, 2)), np.concatenate([tensor, zero3])),
-        PsdBlock(m_mu, np.concatenate([-tensor, zero3])),
-        PsdBlock(np.zeros((2, 2)), np.concatenate([zero3, tensor])),
-        PsdBlock(m_nu, np.concatenate([zero3, -tensor])),
+        PsdBlock(np.zeros((2, 2)), tensor),         # M(phi)
+        PsdBlock(m_mu, -tensor),                    # M(mu) - M(phi)
+        PsdBlock(m_nu - m_mu, tensor),              # M(psi)
+        PsdBlock(m_mu, -tensor),                    # M(nu) - M(psi)
     )
-    c = np.zeros(6)
-    c[0] = 1.0
-    c[3] = 1.0
-    eq_a = np.hstack([np.eye(3), -np.eye(3)])
-    eq_b = mu.values - nu.values
-    explicit = ConicProgram(c=c, blocks=blocks, eq_a=eq_a, eq_b=eq_b)
+    c_phi = np.array([1.0, 0.0, 0.0])
+    # phi(1) + psi(1) = 2 phi(1) - (mu(1) - nu(1))
+    explicit = ConicProgram(c=2.0 * c_phi, blocks=blocks, offset=nu[0] - mu[0])
     out = solve(explicit, SolverSettings(tol=1e-9, accept_tol=1e-7))
     assert out.objective == pytest.approx(res.rho, abs=1e-5)
 
@@ -146,7 +145,10 @@ def test_p_reconstruction_matches_equality_multipliers():
     psi1 = poly_from_gram(out.block_duals[3], 1, 1)
     p_from_grams = psi0 - psi1
     p_from_grams[0] -= 1.0
-    assert np.allclose(p_from_grams, out.eq_dual, atol=1e-6)
+    multiplier = c_phi - sum(
+        np.tensordot(blk.coeffs, z, axes=2) for blk, z in zip(blocks[:2], out.block_duals[:2])
+    )
+    assert np.allclose(p_from_grams, multiplier, atol=1e-6)
 
     # the dual face is not unique, so the eliminated solve may land on a
     # different certificate; both must certify the same value

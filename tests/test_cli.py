@@ -233,6 +233,15 @@ def test_bad_config_exit_codes(tmp_path, capsys):
     assert main(["bound", "--config", noversion]) == 3
 
 
+# solve_hierarchy raises DimensionMismatch; main reports it as a config error
+@pytest.mark.parametrize("command", ["extract", "certify"])
+def test_dimension_mismatch_exits_with_config_error(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, dict(DELTA, nu={
+        "type": "atomic", "atoms": [{"point": [0.1, 0.0], "weight": 1.0}]}))
+    assert main([command, "--config", cfg]) == 3
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_bad_levels_rejected(tmp_path):
     cfg = write_config(tmp_path, dict(GAUSS_ROW, levels="0..2"))
     assert main(["bound", "--config", cfg]) == 3

@@ -105,28 +105,32 @@ MIXED_ORDERS = (3, 1, 3, 2)
 def mixed_block_program(rng, n_eq=0):
     """A random program over blocks of orders MIXED_ORDERS, and its optimum.
 
-    ``n_eq`` random equalities through the strictly feasible point are added;
-    the oracle then solves over their null space.  With three of the four
-    variables fixed one is left free, and with four the point is pinned.
+    ``n_eq`` random equalities through the strictly feasible point x0 are
+    substituted out: the program's variable is z in x = x0 + N z, for an
+    orthonormal basis N of their null space, with c @ x0 as its offset.  The
+    oracle solves the same program.  With three of the four variables fixed
+    one is left free, and with four none is.
     """
     m = 4
     c, block_data, x0 = random_block_sdp(rng, MIXED_ORDERS, m)
+    offset = 0.0
+    if n_eq:
+        eq_a = rng.standard_normal((n_eq, m))
+        nullsp = np.linalg.svd(eq_a)[2][n_eq:].T       # (m, m - n_eq) orthonormal
+        block_data = [
+            (f0 + np.tensordot(x0, coeffs, axes=1), np.tensordot(nullsp.T, coeffs, axes=1))
+            for f0, coeffs in block_data
+        ]
+        c, offset, x0 = nullsp.T @ c, float(c @ x0), np.zeros(m - n_eq)
     blocks = tuple(PsdBlock(f0, coeffs) for f0, coeffs in block_data)
-    if n_eq == 0:
-        return ConicProgram(c=c, blocks=blocks), barrier_solve(c, block_data, x0)[0]
-    eq_a = rng.standard_normal((n_eq, m))
-    prog = ConicProgram(c=c, blocks=blocks, eq_a=eq_a, eq_b=eq_a @ x0)
+    prog = ConicProgram(c=c, blocks=blocks, offset=offset)
     if n_eq == m:
-        return prog, float(c @ x0)
-    nullsp = np.linalg.svd(eq_a)[2][n_eq:].T       # (m, m - n_eq) orthonormal
-    reduced = [(f0 + np.tensordot(x0, coeffs, axes=1), np.tensordot(nullsp.T, coeffs, axes=1))
-               for f0, coeffs in block_data]
-    value, _ = barrier_solve(nullsp.T @ c, reduced, np.zeros(m - n_eq))
-    return prog, value + float(c @ x0)
+        return prog, offset
+    return prog, barrier_solve(c, block_data, x0)[0] + offset
 
 
-# 3 equalities leave one free variable, 4 pin the point; both then see
-# several blocks of mixed orders
+# 3 substituted equalities leave one free variable, 4 leave none; both then
+# see several blocks of mixed orders
 @pytest.mark.parametrize("n_eq", [0, 1, 3, 4])
 def test_mixed_block_orders_match_barrier_oracle(n_eq):
     rng = np.random.default_rng(5 + 2 * n_eq)
@@ -140,8 +144,6 @@ def test_mixed_block_orders_match_barrier_oracle(n_eq):
         stationarity = prog.c - sum(
             np.tensordot(blk.coeffs, z, axes=2) for blk, z in zip(prog.blocks, res.block_duals)
         )
-        if n_eq:
-            stationarity -= prog.eq_a.T @ res.eq_dual
         assert np.allclose(stationarity, 0.0, atol=1e-5)
         for blk, z in zip(prog.blocks, res.block_duals):
             s = blk.f0 + np.tensordot(res.x, blk.coeffs, axes=1)
@@ -178,37 +180,24 @@ def test_no_nan_on_optimal():
     assert all(np.isfinite(z).all() for z in res.block_duals)
 
 
-def test_equality_constraints():
-    # pin x1 = 2 in the arithmetic/geometric program: optimum 2.5 at (2, 1/2)
-    base = arithmetic_geometric_program()
-    prog = ConicProgram(
-        c=base.c, blocks=base.blocks,
-        eq_a=np.array([[1.0, 0.0]]), eq_b=np.array([2.0]),
-    )
-    res = solve(prog)
-    assert res.status == SolveStatus.OPTIMAL
-    assert res.objective == pytest.approx(2.5, abs=1e-6)
-    assert res.x[0] == pytest.approx(2.0, abs=1e-9)
-    assert res.eq_dual is not None
-    # stationarity: c - adjoint(Z) = A^T y
-    g = np.tensordot(base.blocks[0].coeffs, res.block_duals[0], axes=([1, 2], [0, 1]))
-    assert np.allclose(base.c - g, prog.eq_a.T @ res.eq_dual, atol=1e-5)
-
-
-def padded_arithmetic_geometric_program(eq_a=None, eq_b=None):
+def padded_arithmetic_geometric_program(pinned):
     # the arithmetic/geometric block with a zero row and column: S(x) has a
-    # constant kernel, so the program has no interior point until it is dropped
+    # constant kernel, so the program has no interior point until it is
+    # dropped.  Pinned, x1 = 2 is substituted: min 2 + x2 over
+    # [[2, 1], [1, x2]] psd, whose optimum 2.5 is at x2 = 1/2
     base = arithmetic_geometric_program()
     f0 = np.pad(base.blocks[0].f0, ((0, 1), (0, 1)))
     coeffs = np.pad(base.blocks[0].coeffs, ((0, 0), (0, 1), (0, 1)))
-    return ConicProgram(c=base.c, blocks=(PsdBlock(f0, coeffs),), eq_a=eq_a, eq_b=eq_b)
+    if not pinned:
+        return ConicProgram(c=base.c, blocks=(PsdBlock(f0, coeffs),))
+    block = PsdBlock(f0 + 2.0 * coeffs[0], coeffs[1:])
+    return ConicProgram(c=base.c[1:], blocks=(block,), offset=2.0)
 
 
 # alone the optimum is 2; with x1 = 2 pinned it is 2.5, with one free variable
 @pytest.mark.parametrize("pinned, optimum", [(False, 2.0), (True, 2.5)])
 def test_constant_kernel_is_dropped(pinned, optimum):
-    eq = (np.array([[1.0, 0.0]]), np.array([2.0])) if pinned else (None, None)
-    prog = padded_arithmetic_geometric_program(*eq)
+    prog = padded_arithmetic_geometric_program(pinned)
     res = solve(prog)
     assert res.status == SolveStatus.OPTIMAL
     assert res.objective == pytest.approx(optimum, abs=1e-6)
@@ -216,20 +205,33 @@ def test_constant_kernel_is_dropped(pinned, optimum):
     assert z.shape == (3, 3)
     assert np.allclose(z[2], 0.0, atol=1e-12) and np.allclose(z[:, 2], 0.0, atol=1e-12)
     stationarity = prog.c - np.tensordot(prog.blocks[0].coeffs, z, axes=2)
-    if pinned:
-        stationarity -= prog.eq_a.T @ res.eq_dual
     assert np.allclose(stationarity, 0.0, atol=1e-6)
 
 
-def test_fully_pinned_equalities():
+def fixed_point_program(x):
+    # the arithmetic/geometric program with both variables fixed at x: no
+    # variable is left, and the one point is S(x) = [[x1, 1], [1, x2]]
     base = arithmetic_geometric_program()
-    prog = ConicProgram(
-        c=base.c, blocks=base.blocks,
-        eq_a=np.eye(2), eq_b=np.array([2.0, 1.0]),
-    )
-    res = solve(prog)
+    f0 = base.blocks[0].f0 + np.tensordot(x, base.blocks[0].coeffs, axes=1)
+    return ConicProgram(c=np.zeros(0), blocks=(PsdBlock(f0, np.zeros((0, 2, 2))),),
+                        offset=float(base.c @ x))
+
+
+def test_fully_pinned_equalities():
+    res = solve(fixed_point_program(np.array([2.0, 1.0])))
     assert res.status == SolveStatus.OPTIMAL
-    assert res.objective == pytest.approx(3.0)
+    assert res.objective == res.dual_objective == pytest.approx(3.0)
+    assert res.x.shape == (0,)
+    assert res.iterations == 0
+    assert [z.shape for z in res.block_duals] == [(2, 2)]
+    assert not np.any(res.block_duals[0])
+
+
+def test_fixed_point_outside_cone_is_infeasible():
+    # S(1/2, 1) = [[1/2, 1], [1, 1]] has determinant -1/2
+    res = solve(fixed_point_program(np.array([0.5, 1.0])))
+    assert res.status == SolveStatus.INFEASIBLE
+    assert res.primal_residual == pytest.approx(-np.linalg.eigvalsh([[0.5, 1.0], [1.0, 1.0]])[0])
 
 
 def test_infeasible_one_variable():
@@ -251,16 +253,6 @@ def test_infeasible_two_variables():
     )
     assert res.status in (SolveStatus.INFEASIBLE, SolveStatus.NUMERICAL_FAILURE)
     assert res.status != SolveStatus.OPTIMAL
-
-
-def test_inconsistent_equalities_flagged():
-    base = arithmetic_geometric_program()
-    prog = ConicProgram(
-        c=base.c, blocks=base.blocks,
-        eq_a=np.array([[1.0, 0.0], [1.0, 0.0]]), eq_b=np.array([1.0, 2.0]),
-    )
-    res = solve(prog)
-    assert res.status == SolveStatus.INFEASIBLE
 
 
 def test_dump_program_format():

@@ -53,12 +53,15 @@ def test_assemble_counts_bivariate_n2():
 
 def test_assemble_counts_kernel_reduced():
     # two atoms each at level 2: both 3x3 data matrices have rank 2, so the
-    # reduction compresses every solver block onto a 2-dimensional face
+    # reduction compresses every solver block onto a 2-dimensional face; the
+    # kernels pin all five moments of phi, so no variable is left
     mu = moments(Atomic.univariate([0.0, 1.0], [0.5, 0.5]), 1, 4)
     nu = moments(Atomic.univariate([0.5, 2.0], [0.5, 0.5]), 1, 4)
     prob = assemble(mu, nu, 2, kernel_reduce=True)
     assert prob.reduced
-    assert prob.program.n_vars == 5
+    assert prob.program.n_vars == 0
+    assert prob.x0.shape == (5,)
+    assert prob.null_basis.shape == (5, 0)
     assert [blk.size for blk in prob.program.blocks] == [2, 2, 2]
     assert len(prob.equilibrations) == 3
 
@@ -236,7 +239,7 @@ def test_failed_level_marked(monkeypatch):
             res = SolveResult(
                 status=SolveStatus.MAX_ITER, x=res.x, objective=res.objective,
                 dual_objective=res.dual_objective, block_duals=res.block_duals,
-                eq_dual=res.eq_dual, primal_residual=1.0, dual_residual=1.0,
+                primal_residual=1.0, dual_residual=1.0,
                 gap=1.0, iterations=res.iterations,
             )
         return res
@@ -259,7 +262,7 @@ def test_solver_failure_carries_result(monkeypatch):
         return SolveResult(
             status=SolveStatus.NUMERICAL_FAILURE, x=res.x, objective=res.objective,
             dual_objective=res.dual_objective, block_duals=res.block_duals,
-            eq_dual=res.eq_dual, primal_residual=1.0, dual_residual=1.0,
+            primal_residual=1.0, dual_residual=1.0,
             gap=1.0, iterations=res.iterations,
         )
 
