@@ -98,12 +98,18 @@ def _certificate_value(cert: DualCertificate, mu: MomentSequence, nu: MomentSequ
     )
 
 
-def _check_certificate(cert: DualCertificate):
+def _identity_residuals(cert: DualCertificate) -> tuple[float, float]:
+    """Largest coefficient violations of 1 - p = sigma0 - sigma1 and of
+    1 + p = psi0 - psi1."""
     sigma0, sigma1, psi0, psi1 = cert.polynomials()
     one = np.zeros_like(cert.p)
     one[0] = 1.0
-    res1 = np.max(np.abs((one - cert.p) - (sigma0 - sigma1)))
-    res2 = np.max(np.abs((one + cert.p) - (psi0 - psi1)))
+    return (float(np.max(np.abs((one - cert.p) - (sigma0 - sigma1)))),
+            float(np.max(np.abs((one + cert.p) - (psi0 - psi1)))))
+
+
+def _check_certificate(cert: DualCertificate):
+    res1, res2 = _identity_residuals(cert)
     if res1 > IDENTITY_TOL:
         raise CertificateMismatch(
             f"identity 1 - p = sigma0 - sigma1 violated by {res1:.3e}"

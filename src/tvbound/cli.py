@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .certificates import verify_certificate
+from .certificates import _identity_residuals, verify_certificate
 from .conic import SolveStatus
 from .errors import NotFlat, SolverFailure, TvBoundError
 from .indexing import basis_size
@@ -307,9 +307,7 @@ def cmd_certify(cfg: RunConfig) -> int:
     except TvBoundError as exc:
         print(f"verdict FAIL: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    sigma0, sigma1, psi0, psi1 = cert.polynomials()
-    one = np.zeros_like(cert.p)
-    one[0] = 1.0
+    one_minus_p, one_plus_p = _identity_residuals(cert)
     payload = {
         "n": level,
         "rho_n": _scale_out(res.rho, cfg),
@@ -323,8 +321,8 @@ def cmd_certify(cfg: RunConfig) -> int:
             "psi1": np.linalg.eigvalsh(cert.gram_psi1).tolist(),
         },
         "identity_residuals": {
-            "one_minus_p": float(np.max(np.abs((one - cert.p) - (sigma0 - sigma1)))),
-            "one_plus_p": float(np.max(np.abs((one + cert.p) - (psi0 - psi1)))),
+            "one_minus_p": one_minus_p,
+            "one_plus_p": one_plus_p,
         },
     }
     if cfg.fmt == "json":

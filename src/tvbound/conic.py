@@ -8,15 +8,14 @@ Problem form:
 Everything is dense: the target problems have a handful of blocks of size
 <= ~15 and tens of variables, where an iteration costs calls, not flops.  So
 ``solve`` stacks the blocks of equal order once: each group holds its F_k0 as
-one (g, s, s) array and its F_ki as one (m, g, s, s) array.  The removal of
-each block's constant kernel (a facial-reduction step, which the kernel face
-of an assembled relaxation leaves to do) and the cone-only core, a
-Nesterov-Todd scaled predictor-corrector method, both work on these stacks.
-Every program with a variable goes through that core, and every exit
-scatters the duals back to input block order and shape.  In the core the
-affine map, its adjoint, the dual projection and the Schur complement are a
-few matmuls per group, and the Cholesky factorizations, the NT-scaling SVD
-and the step-length eigenvalues one batched call each.
+one (g, s, s) array and its F_ki as one (m, g, s, s) array.  Every program
+with a variable goes through one cone-only core on these stacks, a
+Nesterov-Todd scaled predictor-corrector method, and every exit scatters the
+duals back to input block order and shape.  The solver restricts nothing to
+a face: no block may have a constant kernel (see ``solve``).  In the core
+the affine map, its adjoint, the dual projection and the Schur complement
+are a few matmuls per group, and the Cholesky factorizations, the NT-scaling
+SVD and the step-length eigenvalues one batched call each.
 
 All computations are deterministic: identical inputs and settings produce
 bit-identical outputs.
@@ -39,6 +38,17 @@ class SolveStatus(enum.Enum):
     INFEASIBLE = "Infeasible"
 
 
+def _sym(a: np.ndarray) -> np.ndarray:
+    """Symmetric part of a matrix or of each matrix in a stack."""
+    return 0.5 * (a + a.swapaxes(-1, -2))
+
+
+def _symmetric(a: np.ndarray) -> bool:
+    """Whether max|A - A^T| <= 1e-12 max(1, max|A|) over a matrix or a whole stack."""
+    scale = max(1.0, float(np.abs(a).max(initial=0.0)))
+    return bool(np.abs(a - a.swapaxes(-1, -2)).max(initial=0.0) <= 1e-12 * scale)
+
+
 @dataclass(frozen=True, eq=False)
 class PsdBlock:
     """Affine symmetric-matrix map x -> f0 + sum_i x_i coeffs[i]."""
@@ -53,12 +63,12 @@ class PsdBlock:
             raise ValueError("f0 must be square")
         if coeffs.ndim != 3 or coeffs.shape[1:] != f0.shape:
             raise ValueError("coeffs must be (m, s, s) matching f0")
-        if not np.allclose(f0, f0.T, atol=1e-12):
+        if not _symmetric(f0):
             raise ValueError("f0 must be symmetric")
-        if not np.allclose(coeffs, np.transpose(coeffs, (0, 2, 1)), atol=1e-12):
+        if not _symmetric(coeffs):
             raise ValueError("all coefficient matrices must be symmetric")
-        f0 = 0.5 * (f0 + f0.T)
-        coeffs = 0.5 * (coeffs + np.transpose(coeffs, (0, 2, 1)))
+        f0 = _sym(f0)
+        coeffs = _sym(coeffs)
         f0.setflags(write=False)
         coeffs.setflags(write=False)
         object.__setattr__(self, "f0", f0)
@@ -142,79 +152,19 @@ class SolveResult:
         object.__setattr__(self, "block_duals", duals)
 
 
-def _sym(a: np.ndarray) -> np.ndarray:
-    """Symmetric part of a matrix or of each matrix in a stack."""
-    return 0.5 * (a + a.swapaxes(-1, -2))
-
-
-def _group(pairs):
-    """Input positions, (g, s, s) F_k0 and (m, g, s, s) F_ki of each order group.
-
-    ``pairs`` holds one (F_k0, F_ki) pair per block, in input order.
-    """
-    sizes = [f.shape[0] for f, _ in pairs]
+def _group(blocks):
+    """Input positions, (g, s, s) F_k0 and (m, g, s, s) F_ki of each order group."""
+    sizes = [blk.size for blk in blocks]
     positions = [[k for k, s in enumerate(sizes) if s == size] for size in dict.fromkeys(sizes)]
-    f0 = [np.stack([pairs[k][0] for k in ks]) for ks in positions]
-    coeffs = [np.stack([pairs[k][1] for k in ks], axis=1) for ks in positions]
+    f0 = [np.stack([blocks[k].f0 for k in ks]) for ks in positions]
+    coeffs = [np.stack([blocks[k].coeffs for k in ks], axis=1) for ks in positions]
     return positions, f0, coeffs
 
 
-# singular values at or below this share of the largest count as zero, both
-# in ``null_space`` and in the constant kernels of the blocks
-_RANK_TOL = 1e-8
-
-
-def null_space(a: np.ndarray) -> np.ndarray:
-    """Orthonormal basis, as columns, of the null space of the rows of ``a``.
-
-    The rows are scaled to unit norm before the SVD, since their norms may
-    differ by many orders of magnitude, and the rank is cut at ``_RANK_TOL``.
-    """
-    norms = np.linalg.norm(a, axis=1, keepdims=True)
-    _, sv, vt = np.linalg.svd(a / np.where(norms > 0, norms, 1.0),
-                              full_matrices=a.shape[0] < a.shape[1])
-    return vt[int((sv > _RANK_TOL * sv[:1]).sum()):].T
-
-
-def _drop_kernels(positions, f0, coeffs):
-    """Compress every block with a constant kernel onto its complement.
-
-    The constant kernel of block k, the common null space of F_k0 and all
-    F_ki, is annihilated by S_k(x) at every x, so such a block has no
-    interior point.  It is found with one thin SVD per order group, over each
-    block's matrices stacked with unit Frobenius norms, ranked by
-    ``_RANK_TOL``.  A block with a kernel becomes Q^T S_k(x) Q for the
-    orthonormal basis Q of the complement, and the blocks are regrouped.
-    Returns the stacks and a dict of the bases Q by input position; when it
-    is empty, the stacks are the inputs themselves.
-    """
-    pairs, bases = [None] * sum(map(len, positions)), {}
-    for ks, f, fk in zip(positions, f0, coeffs):
-        mats = np.concatenate([f[None], fk]).swapaxes(0, 1)      # (g, m + 1, s, s)
-        norms = np.sqrt((mats * mats).sum(axis=(2, 3), keepdims=True))
-        scaled = (mats / np.where(norms > 0, norms, 1.0)).reshape(len(ks), -1, f.shape[1])
-        _, sv, vt = np.linalg.svd(scaled, full_matrices=False)
-        for j, (k, rank) in enumerate(zip(ks, (sv > _RANK_TOL * sv[:, :1]).sum(axis=1))):
-            pairs[k] = (f[j], fk[:, j])
-            # a block of zeros only (rank 0) is left to the cone solver as it is
-            if 0 < rank < f.shape[1]:
-                q = bases[k] = vt[j, :rank].T
-                pairs[k] = (_sym(q.T @ f[j] @ q), _sym(q.T @ fk[:, j] @ q))
-    if not bases:
-        return positions, f0, coeffs, bases
-    return (*_group(pairs), bases)
-
-
-def _scatter(positions, stacks, bases=None) -> tuple:
-    """Symmetric parts of stacked duals, one per input block, in input order.
-
-    The dual Z of a block compressed by ``_drop_kernels`` is lifted back to
-    Q Z Q^T with that block's basis Q from ``bases``.
-    """
+def _scatter(positions, stacks) -> tuple:
+    """Symmetric parts of stacked duals, one per input block, in input order."""
     order = sum(positions, [])
     stacked = [z for stack in stacks for z in stack]
-    if bases:
-        stacked = [bases[k] @ z @ bases[k].T if k in bases else z for k, z in zip(order, stacked)]
     return tuple(_sym(stacked[j]) for j in np.argsort(order))
 
 
@@ -287,11 +237,12 @@ def _solve_cone(c, f0, coeffs, settings: SolverSettings):
     """NT-scaled predictor-corrector on the block-diagonal PSD cone.
 
     Takes the blocks as ``solve`` stacks them (see the module docstring),
-    with at least one variable and no constant kernel left, and returns the
-    duals as the same stacks, which ``solve`` scatters back to input block
-    order.  The gap score is the larger of <S, Z> and |pobj - dobj|: the
-    latter also carries <rp, Z> + rd.x, so a dual objective that runs off
-    while the residuals look small does not pass.
+    with at least one variable and, by the precondition of ``solve``, no
+    constant kernel, and returns the duals as the same stacks, which
+    ``solve`` scatters back to input block order.  The gap score is the
+    larger of <S, Z> and |pobj - dobj|: the latter also carries
+    <rp, Z> + rd.x, so a dual objective that runs off while the residuals
+    look small does not pass.
 
     Stabilizers for the degenerate problems this package produces (loss of
     strict complementarity, nearly singular data):
@@ -514,14 +465,17 @@ def solve(program: ConicProgram, settings: SolverSettings | None = None) -> Solv
     shape.
 
     The blocks are stacked by order here, once per solve.  A program with no
-    variable has the one point F_0, which is tested directly.  Otherwise the
-    constant kernels are dropped (``_drop_kernels``), so that the program
-    reaches ``_solve_cone`` with no face left to restrict to.  Every exit
-    scatters its duals back with ``_scatter``.
+    variable has the one point F_0, which is tested directly; any other runs
+    ``_solve_cone``.  Every exit scatters its duals back with ``_scatter``.
+
+    Precondition: when the program has a variable, no block may have a
+    constant kernel, a vector that F_k0 and every F_ki annihilate.  Such a
+    block has no interior point, which the interior-point core assumes;
+    restrict the program to the face first, as ``relaxation.assemble`` does.
     """
     settings = settings or SolverSettings()
     offset = program.offset
-    positions, f0, coeffs = _group([(blk.f0, blk.coeffs) for blk in program.blocks])
+    positions, f0, coeffs = _group(program.blocks)
     if program.n_vars == 0:
         lam = _lam_min(f0)
         status = SolveStatus.OPTIMAL if lam >= -1e-8 * _data_scale(f0) else SolveStatus.INFEASIBLE
@@ -529,11 +483,10 @@ def solve(program: ConicProgram, settings: SolverSettings | None = None) -> Solv
         return SolveResult(status, np.zeros(0), offset, offset, zero_duals,
                            max(0.0, -lam), 0.0, 0.0, 0)
 
-    positions, f0, coeffs, bases = _drop_kernels(positions, f0, coeffs)
     status, x, duals, pobj, dobj, pres, dres, gap, iters = _solve_cone(
         program.c, f0, coeffs, settings)
-    duals = _scatter(positions, duals, bases)
-    return SolveResult(status, x, pobj + offset, dobj + offset, duals, pres, dres, gap, iters)
+    return SolveResult(status, x, pobj + offset, dobj + offset, _scatter(positions, duals),
+                       pres, dres, gap, iters)
 
 
 def dump_program(program: ConicProgram, stream=None) -> str:

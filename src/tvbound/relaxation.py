@@ -21,12 +21,13 @@ Numerics.  Three exact reformulations precondition the solve:
 * each solver block is conjugated by a diagonal equilibration, which is a
   congruence and changes nothing mathematically;
 * when the data moment matrices are exactly singular (atomic inputs at or
-  above the exactness level), the feasible set lies on a face of the cone:
-  ``kernel_reduce`` compresses the blocks onto the complement of those
-  kernels and parametrizes the phi that annihilate them as phi = x0 + N z,
-  so the solver's variable is z.  That face need not be the minimal one;
-  ``conic.solve`` drops the constant kernels the blocks still have, which
-  restores strict feasibility.
+  above the exactness level), the feasible set lies on a face of the cone,
+  which ``kernel_reduce`` restricts to in two steps.  It compresses the
+  blocks onto the complement of those kernels and parametrizes the phi that
+  annihilate them as phi = x0 + N z, so the solver's variable is z.  That
+  face need not be the minimal one: when a variable is left, it then drops
+  the constant kernel each block still has, which restores strict
+  feasibility.  The conic program it returns is the one the solver runs.
 """
 
 from __future__ import annotations
@@ -131,15 +132,16 @@ def variable_map_for(mu: MomentSequence, nu: MomentSequence, n: int) -> Variable
 class RelaxationProblem:
     """Assembled level-n relaxation of dimension ``dim``.
 
-    ``program`` is the eliminated conic form passed to the solver: its
-    variables are the phi coordinates only, and its three blocks are M(phi),
-    M(mu) - M(phi) and M(psi), since the fourth LMI, M(nu) - M(psi), is the
-    same matrix as M(mu) - M(phi).  ``equilibrations`` holds the diagonal
-    congruence applied to each solver block; block duals must be conjugated
-    back by it before any certificate use.  On a reduced program the blocks
-    are compressed onto the kernel face, and the variable is z in
-    phi = x0 + null_basis @ z; otherwise ``x0`` and ``null_basis`` are None
-    and the variable is phi itself.
+    ``program`` is the eliminated conic form, exactly as the solver's
+    interior-point core runs it: its variables are the phi coordinates
+    only, and its three blocks are M(phi), M(mu) - M(phi) and M(psi), since
+    the fourth LMI, M(nu) - M(psi), is the same matrix as M(mu) - M(phi).
+    ``equilibrations`` holds the diagonal congruence applied to each solver
+    block; block duals must be conjugated back by it before any certificate
+    use.  On a reduced program the blocks are compressed onto the kernel
+    face, with no constant kernel left when a variable is, and the variable
+    is z in phi = x0 + null_basis @ z; otherwise ``x0`` and ``null_basis``
+    are None and the variable is phi itself.
     """
 
     dim: int
@@ -175,13 +177,47 @@ def _exact_kernel(mat: np.ndarray):
     return v[:, keep], kernel
 
 
-def assemble(
-    mu: MomentSequence,
-    nu: MomentSequence,
-    n: int,
-    kernel_reduce: bool = False,
-) -> RelaxationProblem:
-    """Build the level-n conic program from two degree-2n moment sequences."""
+# singular values at or below this share of the largest count as zero, both
+# in the kernel rows of ``_null_space`` and in the constant kernels of blocks
+_RANK_TOL = 1e-8
+
+
+def _null_space(a: np.ndarray) -> np.ndarray:
+    """Orthonormal basis, as columns, of the null space of the rows of ``a``.
+
+    The rows are scaled to unit norm before the SVD, since their norms may
+    differ by many orders of magnitude, and the rank is cut at ``_RANK_TOL``.
+    """
+    norms = np.linalg.norm(a, axis=1, keepdims=True)
+    _, sv, vt = np.linalg.svd(a / np.where(norms > 0, norms, 1.0),
+                              full_matrices=a.shape[0] < a.shape[1])
+    return vt[int((sv > _RANK_TOL * sv[:1]).sum()):].T
+
+
+def _drop_constant_kernel(f0: np.ndarray, coeffs: np.ndarray):
+    """Compress a block F_0 + sum_i z_i F_i onto the complement of its
+    constant kernel.
+
+    The constant kernel, the common null space of F_0 and all F_i, is
+    annihilated at every z, so a block that has one has no interior point.
+    It is found with one thin SVD of the block's matrices stacked with unit
+    Frobenius norms, ranked by ``_RANK_TOL``.  With an orthonormal basis Q
+    of the complement the block becomes Q^T F_0 Q + sum_i z_i Q^T F_i Q.  A
+    block without a kernel, or of zeros only, is returned as it is.
+    """
+    mats = np.concatenate([f0[None], coeffs])
+    norms = np.sqrt((mats * mats).sum(axis=(1, 2), keepdims=True))
+    scaled = (mats / np.where(norms > 0, norms, 1.0)).reshape(-1, f0.shape[0])
+    _, sv, vt = np.linalg.svd(scaled, full_matrices=False)
+    rank = int((sv > _RANK_TOL * sv[0]).sum())
+    if not 0 < rank < f0.shape[0]:
+        return f0, coeffs
+    q = vt[:rank].T
+    return _sym(q.T @ f0 @ q), _sym(q.T @ coeffs @ q)
+
+
+def _level_inputs(mu: MomentSequence, nu: MomentSequence, n: int):
+    """The two sequences truncated to degree 2n, after checking they fit level n."""
     if n < 1:
         raise ValueError("relaxation level must be >= 1")
     if mu.dim != nu.dim:
@@ -191,9 +227,18 @@ def assemble(
             f"level {n} needs moments to degree {2 * n}; have "
             f"{mu.max_degree} and {nu.max_degree}"
         )
+    return mu.truncated(2 * n), nu.truncated(2 * n)
+
+
+def assemble(
+    mu: MomentSequence,
+    nu: MomentSequence,
+    n: int,
+    kernel_reduce: bool = False,
+) -> RelaxationProblem:
+    """Build the level-n conic program from two degree-2n moment sequences."""
+    mu, nu = _level_inputs(mu, nu, n)
     d = mu.dim
-    mu = mu.truncated(2 * n)
-    nu = nu.truncated(2 * n)
     s2n = basis_size(d, 2 * n)
     s = basis_size(d, n)
     tensor = _structure_tensor(d, n)
@@ -245,7 +290,7 @@ def assemble(
             # structure; bail out of the reduction otherwise
             sol, *_ = np.linalg.lstsq(eq_a, eq_b, rcond=None)
             if np.linalg.norm(eq_a @ sol - eq_b) <= 1e-9 * (1.0 + np.linalg.norm(eq_b)):
-                x0, null_basis = sol, conic.null_space(eq_a)
+                x0, null_basis = sol, _null_space(eq_a)
                 # compress onto the face, then substitute phi = x0 + N z;
                 # the sums are symmetric only up to rounding
                 block_data = [
@@ -257,6 +302,9 @@ def assemble(
                      _sym(np.tensordot(null_basis.T, coeffs, axes=1)))
                     for f0, coeffs in block_data
                 ]
+                # a pinned program keeps its one point for the solver to test
+                if null_basis.shape[1]:
+                    block_data = [_drop_constant_kernel(*blk) for blk in block_data]
                 offset += float(c @ x0)
                 c = null_basis.T @ c
 
@@ -347,15 +395,7 @@ def solve_level(
     optimum; the exception carries the untrusted partial result.
     """
     settings = settings or HierarchySettings()
-    if mu.dim != nu.dim:
-        raise DimensionMismatch(f"mu has d={mu.dim}, nu has d={nu.dim}")
-    if mu.max_degree < 2 * n or nu.max_degree < 2 * n:
-        raise DegreeTooLow(
-            f"level {n} needs moments to degree {2 * n}; have "
-            f"{mu.max_degree} and {nu.max_degree}"
-        )
-    mu2n = mu.truncated(2 * n)
-    nu2n = nu.truncated(2 * n)
+    mu2n, nu2n = _level_inputs(mu, nu, n)
     if var_map is None:
         var_map = (
             variable_map_for(mu2n, nu2n, n) if settings.scale else VariableMap()

@@ -32,8 +32,8 @@ def test_wrapped_attributes_resolve():
 
 
 # ops run besides each workload's first: EX3 n=4 has one free variable and
-# blocks with a constant kernel, and in EX1 n=4 the kernel face leaves no
-# variable at all
+# blocks whose constant kernels assemble drops, and in EX1 n=4 the kernel
+# face leaves no variable at all
 EXTRA_OPS = {"atomic_exact": ("EX1 n=4", "EX3 n=4")}
 
 

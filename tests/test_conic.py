@@ -10,7 +10,12 @@ from tvbound.conic import (
     solve,
 )
 from tvbound.measures import Atomic, Gaussian, moments
-from tvbound.relaxation import HierarchySettings, assemble, variable_map_for
+from tvbound.relaxation import (
+    HierarchySettings,
+    _drop_constant_kernel,
+    assemble,
+    variable_map_for,
+)
 
 from oracles import barrier_solve, grid_min_sdp, random_block_sdp, random_sdp_instance
 
@@ -194,17 +199,28 @@ def padded_arithmetic_geometric_program(pinned):
     return ConicProgram(c=base.c[1:], blocks=(block,), offset=2.0)
 
 
-# alone the optimum is 2; with x1 = 2 pinned it is 2.5, with one free variable
+# alone the optimum is 2; with x1 = 2 pinned it is 2.5, with one free variable.
+# solve requires blocks without a constant kernel, so the padded block goes
+# through the drop that assemble runs: a congruence onto the complement of
+# the zero row and column, after which the block order is 2 and the dual is
+# the reduced block's
 @pytest.mark.parametrize("pinned, optimum", [(False, 2.0), (True, 2.5)])
 def test_constant_kernel_is_dropped(pinned, optimum):
     prog = padded_arithmetic_geometric_program(pinned)
-    res = solve(prog)
+    (blk,) = prog.blocks
+    f0, coeffs = _drop_constant_kernel(blk.f0, blk.coeffs)
+    assert f0.shape == (2, 2) and coeffs.shape == (prog.n_vars, 2, 2)
+    reduced = ConicProgram(c=prog.c, blocks=(PsdBlock(f0, coeffs),), offset=prog.offset)
+    res = solve(reduced)
     assert res.status == SolveStatus.OPTIMAL
     assert res.objective == pytest.approx(optimum, abs=1e-6)
+    # the padded S(x) is the reduced one plus its constant kernel
+    padded = np.linalg.eigvalsh(blk.f0 + np.tensordot(res.x, blk.coeffs, axes=1))
+    kept = np.linalg.eigvalsh(f0 + np.tensordot(res.x, coeffs, axes=1))
+    assert np.allclose(padded, np.sort(np.append(kept, 0.0)), atol=1e-12)
     (z,) = res.block_duals
-    assert z.shape == (3, 3)
-    assert np.allclose(z[2], 0.0, atol=1e-12) and np.allclose(z[:, 2], 0.0, atol=1e-12)
-    stationarity = prog.c - np.tensordot(prog.blocks[0].coeffs, z, axes=2)
+    assert z.shape == (2, 2)
+    stationarity = prog.c - np.tensordot(coeffs, z, axes=2)
     assert np.allclose(stationarity, 0.0, atol=1e-6)
 
 
@@ -280,3 +296,21 @@ def test_program_validation():
     blk = PsdBlock(np.zeros((2, 2)), np.zeros((2, 2, 2)))
     with pytest.raises(ValueError):
         ConicProgram(c=np.array([1.0]), blocks=(blk,))  # m mismatch
+
+
+def test_symmetry_check_refuses_relative_asymmetry():
+    # a 1e-7 asymmetry among entries near 1 is more than rounding
+    skewed = np.array([[1.0, 1.0 + 1e-7], [1.0, 1.0]])
+    with pytest.raises(ValueError):
+        PsdBlock(skewed, np.zeros((0, 2, 2)))
+    with pytest.raises(ValueError):
+        PsdBlock(np.eye(2), skewed[None])
+
+
+def test_symmetry_check_accepts_rounding_noise():
+    # an off-diagonal pair (0, 1e-11) is rounding noise in a block whose
+    # largest entry is 1e3, and is symmetrized away
+    noisy = np.array([[1e3, 0.0], [1e-11, 1.0]])
+    blk = PsdBlock(noisy, noisy[None])
+    assert blk.f0[0, 1] == blk.f0[1, 0] == 0.5e-11
+    assert np.array_equal(blk.coeffs[0], blk.f0)

@@ -4,7 +4,13 @@ import pytest
 from tvbound.conic import SolveStatus, SolveResult
 from tvbound.errors import DegreeTooLow, DimensionMismatch, SolverFailure
 from tvbound.indexing import basis_size
-from tvbound.measures import Atomic, Gaussian, exact_tv_univariate_density, moments
+from tvbound.measures import (
+    Atomic,
+    Gaussian,
+    exact_tv_atomic,
+    exact_tv_univariate_density,
+    moments,
+)
 from tvbound.moments import moment_matrix
 from tvbound.relaxation import (
     HierarchySettings,
@@ -127,11 +133,11 @@ def test_hierarchy_close_atoms_above_exactness():
 def test_no_optimal_bound_above_total_variation():
     # levels where a gap score of <S, Z> alone passed a dual objective that
     # had run off, and the solve reported Optimal with rho far above the TV
+    # (n=6, 11 and 13); at n=9..14 the (0,.1)/(1,.5) pair is kernel-reduced,
+    # so these solves also run the constant-kernel drop of assemble
     settings = HierarchySettings()
-    cases = (
-        ((0.8, 0.05), (1.0, 0.01), 6),
-        ((0.0, 0.1), (1.0, 0.5), 11),
-        ((0.0, 0.1), (1.0, 0.5), 13),
+    cases = (((0.8, 0.05), (1.0, 0.01), 6),) + tuple(
+        ((0.0, 0.1), (1.0, 0.5), n) for n in range(9, 15)
     )
     for (m1, s1), (m2, s2), n in cases:
         mu, nu = Gaussian(m1, s1), Gaussian(m2, s2)
@@ -140,6 +146,49 @@ def test_no_optimal_bound_above_total_variation():
         if res.status == SolveStatus.OPTIMAL:
             assert res.rho <= tv + settings.accept_tol, (m1, s1, m2, s2, n, res.rho)
             assert res.rho <= 2.0, (m1, s1, m2, s2, n, res.rho)
+
+
+def test_reduced_blocks_have_no_constant_kernel(monkeypatch):
+    # past exactness the kernel face of these pairs keeps a free variable,
+    # and each of its blocks has a constant kernel that assemble drops, so
+    # the interior-point core runs exactly the assembled blocks
+    from tvbound import conic
+    from tvbound.relaxation import _RANK_TOL
+
+    received = []
+    original = conic._solve_cone
+
+    def spy(c, f0, coeffs, settings):
+        received.append([f.shape[1] for f in f0 for _ in f])
+        return original(c, f0, coeffs, settings)
+
+    monkeypatch.setattr(conic, "_solve_cone", spy)
+    cases = (
+        (Atomic.univariate([-1.0, 0.0, 1.0, 2.0], [0.25] * 4),
+         Atomic.univariate([-2.0, -1.0, 0.1, 1.5], [0.25] * 4), (4, 5, 6), [4, 1, 4]),
+        (Atomic.univariate([0.0, 0.3, 0.4, 0.9], [0.25] * 4),
+         Atomic.univariate([0.3, 0.6, 0.7, 1.2], [0.25] * 4), (4, 5, 6), [4, 1, 4]),
+        (Atomic.univariate([-1.0, 1.0], [0.6, 0.4]),
+         Atomic.univariate([-1.0, 0.2, 1.3], [0.3, 0.4, 0.3]), (3, 4, 5), [2, 1, 3]),
+    )
+    settings = HierarchySettings()
+    for mu, nu, levels, orders in cases:
+        tv = exact_tv_atomic(mu, nu)
+        received.clear()
+        for res in solve_hierarchy(mu, nu, levels, settings):
+            blocks = res.problem.program.blocks
+            assert res.problem.reduced and res.problem.program.n_vars > 0
+            assert [blk.size for blk in blocks] == orders, res.level
+            for blk in blocks:
+                mats = np.concatenate([blk.f0[None], blk.coeffs])
+                norms = np.linalg.norm(mats, axis=(1, 2), keepdims=True)
+                stacked = (mats / np.where(norms > 0, norms, 1.0)).reshape(-1, blk.size)
+                sv = np.linalg.svd(stacked, compute_uv=False)
+                assert sv[-1] > _RANK_TOL * sv[0], res.level
+            assert res.status == SolveStatus.OPTIMAL, res.level
+            assert abs(res.rho - tv) <= settings.accept_tol, res.level
+        # the solver stacks the blocks by order, in order of first appearance
+        assert received == [sorted(orders, key=orders.index)] * len(levels)
 
 
 def test_hierarchy_equal_measures_zero():
