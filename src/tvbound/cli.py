@@ -15,12 +15,15 @@ MeasureSpec variants:
      "nu": {"type": "atomic", "atoms": [{"point": 0.0, "weight": 1.0}]},
      "levels": "1..4",
      "solver": {"tol": 1e-8, "max_iter": 250, "accept_tol": 1e-4},
-     "scale": true, "format": "csv", "seed": 0, "normalized": false}
+     "format": "csv", "seed": 0, "normalized": false}
 
 An empirical measure is either {"type": "empirical", "samples": [...]} or
 {"type": "empirical", "source": {...spec...}, "count": N}; the latter draws
-the sample with the config seed.  Flags override config fields.  Exit codes:
-0 success, 2 solver failure, 3 invalid configuration.
+the sample with the config seed.  "levels" is an "A..B" range, one level,
+or a list of the literal levels.  A "scale" field, which older configs
+carry, must be true: every solve recenters and rescales the variable.
+Flags override config fields.  Exit codes: 0 success, 2 solver failure,
+3 invalid configuration.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import numpy as np
 
 from .certificates import _identity_residuals, verify_certificate
 from .conic import SolveStatus
-from .errors import NotFlat, SolverFailure, TvBoundError
+from .errors import NotFlat, TvBoundError
 from .indexing import basis_size
 from .measures import (
     Atomic,
@@ -97,17 +100,21 @@ def parse_measure(obj, rng: np.random.Generator) -> MeasureSpec:
 
 
 def parse_levels(obj) -> list[int]:
-    if isinstance(obj, int):
-        return [obj]
-    if isinstance(obj, str):
-        if ".." in obj:
+    """Levels from one level, an ``"A..B"`` range or a list of the literal
+    levels; an empty range is refused."""
+    try:
+        if isinstance(obj, str) and ".." in obj:
             lo, hi = obj.split("..")
-            return list(range(int(lo), int(hi) + 1))
-        return [int(obj)]
-    if isinstance(obj, (list, tuple)):
-        if len(obj) == 2 and all(isinstance(v, int) for v in obj) and obj[0] < obj[1]:
-            return list(range(obj[0], obj[1] + 1))
-        return [int(v) for v in obj]
+            levels = list(range(int(lo), int(hi) + 1))
+            if not levels:
+                raise ConfigError(f"empty level range {obj!r}")
+            return levels
+        if isinstance(obj, (int, str)):
+            return [int(obj)]
+        if isinstance(obj, list):
+            return [int(v) for v in obj]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"cannot parse levels from {obj!r}: {exc}") from exc
     raise ConfigError(f"cannot parse levels from {obj!r}")
 
 
@@ -139,15 +146,16 @@ def load_config(args) -> RunConfig:
         raise ConfigError("config needs 'mu' and 'nu' measures")
     mu = parse_measure(raw["mu"], rng)
     nu = parse_measure(raw["nu"], rng)
-    levels = parse_levels(args.levels if args.levels else raw.get("levels", [1, 4]))
+    levels = parse_levels(args.levels if args.levels else raw.get("levels", "1..4"))
     if not levels or any(n < 1 for n in levels):
         raise ConfigError(f"levels must be positive: {levels}")
+    if raw.get("scale", True) is not True:
+        raise ConfigError("'scale' can only be true: every solve recenters and rescales")
     solver = raw.get("solver", {})
     settings = HierarchySettings(
         tol=float(args.tol if args.tol is not None else solver.get("tol", 1e-8)),
         max_iter=int(solver.get("max_iter", 250)),
         accept_tol=float(solver.get("accept_tol", 1e-4)),
-        scale=not args.no_scale and bool(raw.get("scale", True)),
     )
     fmt = args.format or raw.get("format", "pretty")
     if fmt not in ("csv", "json", "pretty"):
@@ -356,8 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, help="solver tolerance override")
         p.add_argument("--format", choices=("csv", "json", "pretty"))
         p.add_argument("--seed", type=int, help="RNG seed for empirical specs")
-        p.add_argument("--no-scale", action="store_true",
-                       help="disable the affine preconditioning of the variable")
         p.add_argument("--normalized", action="store_true",
                        help="report distances on the [0, 1] scale")
         p.set_defaults(func=fn)
@@ -373,9 +379,6 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         return args.func(cfg)
-    except SolverFailure as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
     except TvBoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -4,12 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
 from typing import Mapping
 
 import numpy as np
 
-from .errors import DegreeTooLow, DimensionMismatch
+from .errors import DegreeTooLow
 from .indexing import MonomialBasis, basis_indices, basis_size, normalize_index
 
 
@@ -84,31 +83,6 @@ class MomentSequence:
         return MomentSequence(
             self.dim, max_degree, self.values[: basis_size(self.dim, max_degree)]
         )
-
-    def rescaled(self, scale: float) -> "MomentSequence":
-        """Moments of the pushforward under x -> x / scale."""
-        degs = degree_vector(self.dim, self.max_degree)
-        return MomentSequence(self.dim, self.max_degree, self.values * scale ** (-degs))
-
-    def affine_image(self, a: float, b: float) -> "MomentSequence":
-        """Moments of the pushforward under x -> a*x + b (univariate).
-
-        In dimension > 1 only b = 0 is supported (pure rescaling).
-        """
-        if self.dim != 1:
-            if b != 0.0:
-                raise DimensionMismatch("affine shift implemented for d=1 only")
-            return self.rescaled(1.0 / a)
-        deg = self.max_degree
-        out = np.zeros(deg + 1)
-        for k in range(deg + 1):
-            # E[(a x + b)^k] = sum_j C(k,j) a^j b^(k-j) m_j
-            terms = [
-                comb(k, j) * a**j * b ** (k - j) * self.values[j]
-                for j in range(k + 1)
-            ]
-            out[k] = float(sum(terms))
-        return MomentSequence(1, deg, out)
 
 
 @dataclass(frozen=True, eq=False)

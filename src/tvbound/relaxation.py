@@ -16,8 +16,9 @@ M_n(phi), M_n(mu) - M_n(phi) and M_n(psi).
 
 Numerics.  Three exact reformulations precondition the solve:
 
-* the variable is recentered and rescaled, y = (x - t)/L; rho_n is invariant
-  because this is a bijective change of variables applied to both measures;
+* the variable is recentered and rescaled, y = (x - t)/L, always; rho_n is
+  invariant because this is a bijective change of variables applied to both
+  measures, and ``VariableMap`` is the one place the map is implemented;
 * each solver block is conjugated by a diagonal equilibration, which is a
   congruence and changes nothing mathematically;
 * when the data moment matrices are exactly singular (atomic inputs at or
@@ -41,10 +42,10 @@ import numpy as np
 
 from . import conic
 from .conic import ConicProgram, PsdBlock, SolveResult, SolveStatus, SolverSettings, _sym
-from .errors import DegreeTooLow, DimensionMismatch, SolverFailure
-from .indexing import basis_indices, basis_size
+from .errors import CertificateMismatch, DegreeTooLow, DimensionMismatch, SolverFailure
+from .indexing import basis_size
 from .measures import MeasureSpec, moments
-from .moments import MomentSequence, moment_matrix, product_positions
+from .moments import MomentSequence, degree_vector, moment_matrix, product_positions
 
 
 @lru_cache(maxsize=None)
@@ -61,69 +62,78 @@ def _structure_tensor(d: int, n: int) -> np.ndarray:
     return tensor
 
 
+def _affine_matrix(a: float, b: float, d: int, degree: int) -> np.ndarray:
+    """B with v(a x + b) = B v(x) on the degree-``degree`` basis: in d = 1,
+    B[k, j] = C(k, j) a^j b^(k - j); in d > 1, b must be 0 and B is diagonal."""
+    if d > 1:
+        if b != 0.0:
+            raise DimensionMismatch("shifted variable maps are univariate")
+        return np.diag((1.0 / a) ** (-degree_vector(d, degree)))
+    mat = np.zeros((degree + 1, degree + 1))
+    for k in range(degree + 1):
+        for j in range(k + 1):
+            mat[k, j] = comb(k, j) * a**j * b ** (k - j)
+    return mat
+
+
+def _affine_moments(seq: MomentSequence, a: float, b: float) -> MomentSequence:
+    """Moments of the pushforward of ``seq`` under x -> a x + b.
+
+    B is lower triangular, so moment k sums the first k + 1 terms of row k,
+    left to right.  B @ m is as accurate, but at high degree B is
+    ill-conditioned and the BLAS summation order moves solver statuses.
+    """
+    mat = _affine_matrix(a, b, seq.dim, seq.max_degree)
+    return MomentSequence(seq.dim, seq.max_degree, np.cumsum(mat * seq.values, axis=1).diagonal())
+
+
 @dataclass(frozen=True)
 class VariableMap:
-    """Affine change of variables y = (x - shift) / scale used for a solve."""
+    """Affine change of variables y = (x - shift) / scale used for a solve.
+
+    The one implementation of the map: moments go to and from the solver's
+    variable, and certificates come back from it, through ``_affine_matrix``.
+    ``VariableMap()`` is the identity frame; a shift needs d = 1.
+    """
 
     shift: float = 0.0
     scale: float = 1.0
 
     def seq_to_solver(self, seq: MomentSequence) -> MomentSequence:
-        return seq.affine_image(1.0 / self.scale, -self.shift / self.scale)
+        return _affine_moments(seq, 1.0 / self.scale, -self.shift / self.scale)
 
     def seq_from_solver(self, seq: MomentSequence) -> MomentSequence:
-        return seq.affine_image(self.scale, self.shift)
+        return _affine_moments(seq, self.scale, self.shift)
 
     def points_from_solver(self, pts: np.ndarray) -> np.ndarray:
         return self.scale * np.asarray(pts, dtype=float) + self.shift
 
     def basis_change(self, d: int, degree: int) -> np.ndarray:
         """Matrix B with v(y) = B v(x) on the degree-``degree`` basis."""
-        if d == 1:
-            b = np.zeros((degree + 1, degree + 1))
-            for k in range(degree + 1):
-                for j in range(k + 1):
-                    b[k, j] = (
-                        comb(k, j) * (-self.shift) ** (k - j) / self.scale**k
-                    )
-            return b
-        if self.shift != 0.0:
-            raise DimensionMismatch("shifted variable maps are univariate")
-        degs = np.array([sum(a) for a in basis_indices(d, degree).indices])
-        return np.diag(self.scale ** (-degs.astype(float)))
+        return _affine_matrix(1.0 / self.scale, -self.shift / self.scale, d, degree)
 
 
 def variable_map_for(mu: MomentSequence, nu: MomentSequence, n: int) -> VariableMap:
     """Deterministic centering and scaling estimated from the moments.
 
-    The shift is the midpoint of the two means; the scale is the largest
-    2n-th root of the centered even moments, floored at 1.
+    The shift is the midpoint of the two means (0 in d > 1); the scale is
+    the largest 2n-th root of a centered 2n-th axis moment per unit mass,
+    floored at 1.
     """
-    if mu.dim != 1:
-        # multivariate path: no shift, per-axis radius floor at 1
-        def radius(seq):
-            mass = seq.values[0]
-            if mass <= 0:
-                return 1.0
-            r = 0.0
-            for i in range(seq.dim):
-                alpha = tuple(2 * n if j == i else 0 for j in range(seq.dim))
-                r = max(r, (max(seq[alpha], 0.0) / mass) ** (1.0 / (2 * n)))
-            return r
-
-        return VariableMap(0.0, max(1.0, radius(mu), radius(nu)))
 
     def mean(seq):
         return seq.values[1] / seq.values[0] if seq.values[0] > 0 else 0.0
 
-    shift = 0.5 * (mean(mu) + mean(nu))
+    shift = 0.5 * (mean(mu) + mean(nu)) if mu.dim == 1 else 0.0
 
     def radius(seq):
         mass = seq.values[0]
         if mass <= 0:
             return 1.0
-        centered = seq.affine_image(1.0, -shift)
-        return (max(centered.values[2 * n], 0.0) / mass) ** (1.0 / (2 * n))
+        centered = VariableMap(shift).seq_to_solver(seq)
+        top = max(centered[tuple(2 * n * (j == i) for j in range(seq.dim))]
+                  for i in range(seq.dim))
+        return (max(top, 0.0) / mass) ** (1.0 / (2 * n))
 
     return VariableMap(shift, max(1.0, radius(mu), radius(nu)))
 
@@ -326,13 +336,14 @@ class HierarchySettings:
     and must see the uncompressed blocks.  ``accept_tol`` is the accuracy at
     which a solve still counts as Optimal when the target ``tol`` turns out
     to be unreachable (nearly singular data); achieved tolerances are always
-    reported.
+    reported.  The change of variables is not a setting: every solve runs
+    in the frame of ``variable_map_for`` unless ``solve_level`` is given
+    another ``VariableMap``, such as the identity ``VariableMap()``.
     """
 
     tol: float = 1e-8
     max_iter: int = 250
     accept_tol: float = 1e-4
-    scale: bool = True
     kernel_reduce: bool = True
     certify: bool = False
 
@@ -352,6 +363,11 @@ class HierarchyResult:
     variable (numerically better conditioned, preferred for rank checks and
     extraction).  ``rho`` is taken from the certified (dual) side of the
     solve, so up to the solver tolerance it never overstates the bound.
+
+    ``status`` is the level's outcome and ``solve`` the conic solver's.
+    They differ only when ``certify`` is on and the recovered certificate
+    fails its identity check: the level is then NumericalFailure with rho
+    NaN, while ``solve.status`` keeps the solver's Optimal.
     """
 
     level: int
@@ -391,15 +407,16 @@ def solve_level(
 ) -> HierarchyResult:
     """Solve the level-n relaxation of ||mu - nu||_TV from moment data.
 
-    Raises SolverFailure when the solver does not reach an acceptable
-    optimum; the exception carries the untrusted partial result.
+    The solve runs in the frame of ``var_map``, by default the one
+    ``variable_map_for`` picks.  Raises SolverFailure when the solver does
+    not reach an acceptable optimum, or when ``settings.certify`` is on and
+    the recovered certificate fails its check; the exception carries the
+    untrusted partial result.
     """
     settings = settings or HierarchySettings()
     mu2n, nu2n = _level_inputs(mu, nu, n)
     if var_map is None:
-        var_map = (
-            variable_map_for(mu2n, nu2n, n) if settings.scale else VariableMap()
-        )
+        var_map = variable_map_for(mu2n, nu2n, n)
     mu_s = var_map.seq_to_solver(mu2n)
     nu_s = var_map.seq_to_solver(nu2n)
 
@@ -422,18 +439,19 @@ def solve_level(
         problem=problem, var_map=var_map, mu_moments=mu2n, nu_moments=nu2n,
         wall_ms=wall_ms, phi_solver=phi_s, psi_solver=psi_s,
     )
-    if res.status != SolveStatus.OPTIMAL:
-        raise SolverFailure(
-            f"level {n} solve ended with status {res.status.value} "
-            f"(pres={res.primal_residual:.2e}, dres={res.dual_residual:.2e}, "
-            f"gap={res.gap:.2e})",
-            status=res.status,
-            result=replace(result, rho=float("nan")),
-        )
-    if settings.certify:
+    status, why = res.status, (
+        f"solve ended with status {res.status.value} (pres={res.primal_residual:.2e}, "
+        f"dres={res.dual_residual:.2e}, gap={res.gap:.2e})")
+    if status == SolveStatus.OPTIMAL and settings.certify:
         from .certificates import recover_certificate
 
-        result = replace(result, certificate=recover_certificate(result))
+        try:
+            result = replace(result, certificate=recover_certificate(result))
+        except CertificateMismatch as exc:
+            status, why = SolveStatus.NUMERICAL_FAILURE, f"certificate failed its check: {exc}"
+    if status != SolveStatus.OPTIMAL:
+        raise SolverFailure(f"level {n} {why}", status=status,
+                            result=replace(result, rho=float("nan"), status=status))
     return result
 
 
@@ -478,8 +496,9 @@ def solve_hierarchy(mu, nu, levels, settings: HierarchySettings | None = None) -
 
     ``mu`` and ``nu`` may be MeasureSpec (moments computed exactly) or
     MomentSequence values with degree >= 2*max(levels).  Per-level solver
-    failures are recorded on the corresponding entry (rho = NaN, status
-    preserved) instead of aborting the sweep.
+    failures, and certificates that fail their check, are recorded on the
+    corresponding entry (rho = NaN, with the level's status) instead of
+    aborting the sweep.
     """
     settings = settings or HierarchySettings()
     levels = [int(n) for n in levels]

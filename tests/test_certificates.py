@@ -14,11 +14,17 @@ from tvbound.certificates import (
     recover_certificate,
     verify_certificate,
 )
-from tvbound.conic import ConicProgram, PsdBlock, SolverSettings, solve
+from tvbound.conic import ConicProgram, PsdBlock, SolveStatus, SolverSettings, solve
 from tvbound.errors import CertificateMismatch
 from tvbound.measures import Atomic, Gaussian, exact_tv_univariate_density, moments
 from tvbound.moments import poly_from_gram
-from tvbound.relaxation import HierarchySettings, _structure_tensor, solve_level
+from tvbound.relaxation import (
+    HierarchySettings,
+    VariableMap,
+    _structure_tensor,
+    solve_hierarchy,
+    solve_level,
+)
 
 from oracles import gaussian_tv_equal_var
 
@@ -100,6 +106,22 @@ def test_certificate_mismatch_on_broken_identity():
         verify_certificate(bad, mu, nu)
 
 
+def test_failed_certificate_check_is_recorded_not_raised():
+    # at n=5 the recovered certificate violates its identity by about 2.4e-4,
+    # above IDENTITY_TOL; the sweep keeps level 4 and records level 5
+    mu = Atomic.univariate([0.0], [1.0])
+    nu = Atomic.univariate([0.1], [1.0])
+    sweep = solve_hierarchy(mu, nu, [4, 5], HierarchySettings(certify=True))
+    ok, failed = sweep
+    assert ok.status == SolveStatus.OPTIMAL
+    value = verify_certificate(ok.certificate, moments(mu, 1, 8), moments(nu, 1, 8))
+    assert value <= ok.rho + 1e-6
+    assert failed.status == SolveStatus.NUMERICAL_FAILURE
+    assert math.isnan(failed.rho) and failed.certificate is None
+    # the conic solve itself ended Optimal
+    assert failed.solve.status == SolveStatus.OPTIMAL
+
+
 def test_trivial_certificate_is_valid_but_loose():
     # p = 0 with sigma0 = psi0 = 1 and sigma1 = psi1 = 0 certifies the
     # trivial bound 0
@@ -124,7 +146,7 @@ def test_p_reconstruction_matches_equality_multipliers():
     # stationarity of the program with both phi and psi: c_phi - sum F*(Z)
     # over the two phi blocks
     mu, nu = gaussian_pair(0.0, 0.1, 1.0, 0.1, 2)
-    res = solve_level(mu, nu, 1, HierarchySettings(certify=True, scale=False))
+    res = solve_level(mu, nu, 1, HierarchySettings(certify=True), var_map=VariableMap())
 
     tensor = _structure_tensor(1, 1)  # (3, 2, 2)
     m_mu = np.array([[mu[0], mu[1]], [mu[1], mu[2]]])

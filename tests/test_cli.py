@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from tvbound.cli import main
+from tvbound.cli import ConfigError, main, parse_levels
 from tvbound.measures import Gaussian
 from tvbound.relaxation import HierarchySettings, solve_hierarchy
 
@@ -245,3 +245,38 @@ def test_dimension_mismatch_exits_with_config_error(tmp_path, capsys, command):
 def test_bad_levels_rejected(tmp_path):
     cfg = write_config(tmp_path, dict(GAUSS_ROW, levels="0..2"))
     assert main(["bound", "--config", cfg]) == 3
+
+
+def test_certify_failed_certificate_exits_solver_failure(tmp_path, capsys):
+    # the level-5 certificate of this pair fails its identity check
+    cfg = write_config(tmp_path, dict(DELTA, levels=5))
+    assert main(["certify", "--config", cfg]) == 2
+    assert "NumericalFailure" in capsys.readouterr().err
+
+
+def test_level_lists_are_literal():
+    assert parse_levels([2, 4]) == [2, 4]
+    assert parse_levels([2, 4, 6]) == [2, 4, 6]
+    assert parse_levels("2..4") == [2, 3, 4]
+    with pytest.raises(ConfigError, match="empty level range"):
+        parse_levels("4..2")
+
+
+def test_levels_default_and_list_in_config(tmp_path, capsys):
+    cfg = {k: v for k, v in GAUSS_ROW.items() if k != "levels"}
+    assert main(["bound", "--config", write_config(tmp_path, cfg)]) == 0
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["1", "2", "3", "4"]
+    cfg["levels"] = [2, 4]
+    assert main(["bound", "--config", write_config(tmp_path, cfg)]) == 0
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["2", "4"]
+
+
+def test_scale_field_must_be_true(tmp_path, capsys):
+    # perfbench/cli_config.json carries "scale": true
+    on = write_config(tmp_path, dict(GAUSS_ROW, scale=True), "on.json")
+    assert main(["bound", "--config", on]) == 0
+    off = write_config(tmp_path, dict(GAUSS_ROW, scale=False), "off.json")
+    assert main(["bound", "--config", off]) == 3
+    assert "scale" in capsys.readouterr().err

@@ -103,25 +103,6 @@ def test_moment_matrix_psd_for_atomic_measures():
         assert eigs[0] >= -1e-10
 
 
-def test_rescaled():
-    seq = MomentSequence(1, 3, [1.0, 2.0, 4.0, 8.0])
-    scaled = seq.rescaled(2.0)
-    assert np.allclose(scaled.values, [1.0, 1.0, 1.0, 1.0])
-
-
-def test_affine_image_matches_atomic_transform():
-    rng = np.random.default_rng(3)
-    pts = rng.uniform(-2, 2, 4)
-    w = rng.uniform(0.1, 1.0, 4)
-    deg = 6
-    vals = np.array([np.sum(w * pts**k) for k in range(deg + 1)])
-    seq = MomentSequence(1, deg, vals)
-    a, b = 0.5, -1.25
-    mapped = seq.affine_image(a, b)
-    target = np.array([np.sum(w * (a * pts + b) ** k) for k in range(deg + 1)])
-    assert np.allclose(mapped.values, target, rtol=1e-12, atol=1e-12)
-
-
 def test_truncated_prefix():
     seq = MomentSequence(2, 4, np.arange(basis_size(2, 4), dtype=float))
     cut = seq.truncated(2)

@@ -6,6 +6,7 @@ from tvbound.errors import DegreeTooLow, DimensionMismatch, SolverFailure
 from tvbound.indexing import basis_size
 from tvbound.measures import (
     Atomic,
+    Exponential,
     Gaussian,
     exact_tv_atomic,
     exact_tv_univariate_density,
@@ -14,6 +15,7 @@ from tvbound.measures import (
 from tvbound.moments import moment_matrix
 from tvbound.relaxation import (
     HierarchySettings,
+    VariableMap,
     assemble,
     monotone_within,
     solve_hierarchy,
@@ -130,22 +132,35 @@ def test_hierarchy_close_atoms_above_exactness():
         assert abs(res.rho - 1.5) <= settings.accept_tol, res.level
 
 
-def test_no_optimal_bound_above_total_variation():
-    # levels where a gap score of <S, Z> alone passed a dual objective that
-    # had run off, and the solve reported Optimal with rho far above the TV
-    # (n=6, 11 and 13); at n=9..14 the (0,.1)/(1,.5) pair is kernel-reduced,
-    # so these solves also run the constant-kernel drop of assemble
-    settings = HierarchySettings()
-    cases = (((0.8, 0.05), (1.0, 0.01), 6),) + tuple(
-        ((0.0, 0.1), (1.0, 0.5), n) for n in range(9, 15)
+# levels where a gap score of <S, Z> alone passed a dual objective that had
+# run off, and the solve reported Optimal with rho far above the TV (n=6, 11
+# and 13), with the rest of the kernel-reduced n=9..14 of (0,.1)/(1,.5); rho
+# <= 2 is asserted at these only, since the reduced solves of (0,.1)/(1,.1)
+# end Optimal up to 3.3e-8 above 2, within accept_tol of their TV
+AT_MOST_TWO = {((0.8, 0.05), (1.0, 0.01)): (6,), ((0.0, 0.1), (1.0, 0.5)): range(9, 15)}
+
+# the nine pairs of the published Gaussian table, and Exponential 1 against 2
+HIGH_LEVEL_PAIRS = tuple(
+    pytest.param(Gaussian(*a), Gaussian(*b), AT_MOST_TWO.get((a, b), ()),
+                 id=f"N{a[0]}_{a[1]}-N{b[0]}_{b[1]}")
+    for a, b in (
+        ((0.0, 0.1), (1.0, 0.1)), ((0.0, 0.2), (1.0, 0.2)), ((0.0, 0.1), (1.0, 0.5)),
+        ((0.0, 0.5), (1.0, 0.5)), ((0.5, 0.1), (1.0, 0.1)), ((0.5, 0.1), (1.0, 0.5)),
+        ((0.8, 0.1), (1.0, 0.1)), ((0.8, 0.05), (1.0, 0.1)), ((0.8, 0.05), (1.0, 0.01)),
     )
-    for (m1, s1), (m2, s2), n in cases:
-        mu, nu = Gaussian(m1, s1), Gaussian(m2, s2)
-        tv = exact_tv_univariate_density(mu, nu)
+) + (pytest.param(Exponential(1.0), Exponential(2.0), (), id="exp1-exp2"),)
+
+
+@pytest.mark.parametrize("mu, nu, at_most_two", HIGH_LEVEL_PAIRS)
+def test_no_optimal_bound_above_total_variation(mu, nu, at_most_two):
+    settings = HierarchySettings()
+    tv = exact_tv_univariate_density(mu, nu)
+    for n in range(5, 15):
         res = solve_hierarchy(mu, nu, [n], settings)[0]
         if res.status == SolveStatus.OPTIMAL:
-            assert res.rho <= tv + settings.accept_tol, (m1, s1, m2, s2, n, res.rho)
-            assert res.rho <= 2.0, (m1, s1, m2, s2, n, res.rho)
+            assert res.rho <= tv + settings.accept_tol, (n, res.rho, tv)
+            if n in at_most_two:
+                assert res.rho <= 2.0, (n, res.rho)
 
 
 def test_reduced_blocks_have_no_constant_kernel(monkeypatch):
@@ -245,8 +260,8 @@ def test_psi_decode_consistency():
 
 def test_scaling_invariance_of_rho():
     mu, nu = gaussian_pair(0, 0.5, 1, 0.5, 4)
-    on = solve_level(mu, nu, 2, HierarchySettings(scale=True))
-    off = solve_level(mu, nu, 2, HierarchySettings(scale=False))
+    on = solve_level(mu, nu, 2)
+    off = solve_level(mu, nu, 2, var_map=VariableMap())
     assert on.rho == pytest.approx(off.rho, abs=1e-6)
 
 
@@ -257,6 +272,44 @@ def test_variable_map_centering():
     assert vm.scale >= 1.0
     back = vm.seq_from_solver(vm.seq_to_solver(mu))
     assert np.allclose(back.values, mu.values, rtol=1e-9, atol=1e-12)
+
+
+def _atom_moments(pts, weights, degree):
+    pts = np.asarray(pts, dtype=float).reshape(len(weights), -1)
+    return moments(Atomic(pts, weights), pts.shape[1], degree)
+
+
+# d = 1 with a shift, d = 2 with a scale only
+MAP_CASES = (
+    pytest.param([-1.2, 0.4, 2.5], [0.2, 0.5, 0.3], VariableMap(0.7, 2.5), id="d1-shift"),
+    pytest.param([[0.3, -0.8], [1.5, 0.2], [-0.6, 1.1]], [0.3, 0.3, 0.4],
+                 VariableMap(0.0, 3.0), id="d2-scale"),
+)
+
+
+@pytest.mark.parametrize("pts, weights, vm", MAP_CASES)
+def test_solver_frame_moments_are_moments_of_mapped_atoms(pts, weights, vm):
+    seq = _atom_moments(pts, weights, 8)
+    mapped = _atom_moments((np.asarray(pts) - vm.shift) / vm.scale, weights, 8)
+    assert np.allclose(vm.seq_to_solver(seq).values, mapped.values, rtol=1e-12, atol=1e-12)
+    back = vm.seq_from_solver(mapped)
+    assert np.allclose(back.values, seq.values, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("pts, weights, vm", MAP_CASES)
+def test_basis_change_matches_moment_map(pts, weights, vm):
+    seq = _atom_moments(pts, weights, 8)
+    mat = vm.basis_change(seq.dim, 8)
+    assert np.allclose(mat @ seq.values, vm.seq_to_solver(seq).values, rtol=1e-14, atol=1e-14)
+
+
+def test_shifted_map_is_univariate():
+    seq = _atom_moments([[0.3, -0.8]], [1.0], 4)
+    vm = VariableMap(0.5, 2.0)
+    with pytest.raises(DimensionMismatch):
+        vm.seq_to_solver(seq)
+    with pytest.raises(DimensionMismatch):
+        vm.basis_change(2, 4)
 
 
 def test_solve_level_errors():
