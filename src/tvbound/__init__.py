@@ -4,8 +4,9 @@ measures, computed from their moments.
 The bound rho_n at level n comes from a semidefinite relaxation over
 degree-2n pseudo-moment pairs dominated by the inputs' moment matrices;
 rho_n increases with n and converges to ||mu - nu||_TV (on the [0, 2] scale
-for probability measures).  Each solve also yields a dual sum-of-squares
-certificate that can be verified independently, and when the optimal
+for probability measures).  A solve with ``certify=True`` also yields a
+dual sum-of-squares certificate that can be verified independently (it
+turns the kernel reduction off), and when the optimal
 pseudo-moments are flat their atomic representatives (the numerical
 Hahn-Jordan pair) can be extracted.
 
@@ -30,7 +31,7 @@ from .errors import (
     UnsupportedDimension,
 )
 from .indexing import MonomialBasis, basis_indices, basis_size
-from .moments import MomentMatrix, MomentSequence, moment_matrix, poly_from_gram, riesz
+from .moments import MomentSequence, moment_matrix, poly_from_gram, riesz
 from .measures import (
     Atomic,
     AtomicMeasure,
@@ -98,7 +99,6 @@ __all__ = [
     "IllConditioned",
     "MeasureSpec",
     "Mixture",
-    "MomentMatrix",
     "MomentSequence",
     "MonomialBasis",
     "NotFlat",

@@ -28,19 +28,12 @@ import numpy as np
 from .errors import CertificateMismatch, DegreeTooLow
 from .indexing import basis_size
 from .measures import Gaussian
-from .moments import MomentSequence, poly_from_gram, product_positions, riesz_vector
+from .moments import MomentSequence, gram_preimage, poly_from_gram, riesz_vector
 from .relaxation import HierarchyResult
 from .conic import SolveStatus
 
 IDENTITY_TOL = 1e-6
 GRAM_EIG_FLOOR = -1e-8
-
-
-def _least_norm_gram_preimage(coeffs: np.ndarray, d: int, n: int) -> np.ndarray:
-    """Minimum-Frobenius symmetric matrix T with poly_from_gram(T) = coeffs."""
-    table = product_positions(d, n)
-    counts = np.bincount(table.ravel(), minlength=coeffs.shape[0]).astype(float)
-    return (coeffs / counts)[table]
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,12 +80,14 @@ class DualCertificate:
         )
 
 
-def _certificate_value(cert: DualCertificate, mu: MomentSequence, nu: MomentSequence) -> float:
-    _, sigma1, _, psi1 = cert.polynomials()
-    deg = 2 * cert.level
+def _certificate_value(level: int, p: np.ndarray, sigma1: np.ndarray, psi1: np.ndarray,
+                       mu: MomentSequence, nu: MomentSequence) -> float:
+    """integral p d(mu - nu) - integral sigma1 dmu - integral psi1 dnu, from
+    the coefficient vectors of a level-``level`` certificate."""
+    deg = 2 * level
     return (
-        riesz_vector(mu, cert.p, deg)
-        - riesz_vector(nu, cert.p, deg)
+        riesz_vector(mu, p, deg)
+        - riesz_vector(nu, p, deg)
         - riesz_vector(mu, sigma1, deg)
         - riesz_vector(nu, psi1, deg)
     )
@@ -180,7 +175,7 @@ def recover_certificate(result: HierarchyResult) -> DualCertificate:
         poly_from_gram(g_sigma0, d, n) - poly_from_gram(g_sigma1, d, n)
         + poly_from_gram(g_psi0, d, n) - poly_from_gram(g_psi1, d, n)
     )
-    g_sigma0 = g_sigma0 + _least_norm_gram_preimage(residual, d, n)
+    g_sigma0 = g_sigma0 + gram_preimage(residual, d, n)
     eye = np.eye(g_sigma0.shape[0])
     for pair in ((0, 1), (2, 3)):
         mats = [g_sigma0, g_sigma1, g_psi0, g_psi1]
@@ -203,13 +198,12 @@ def recover_certificate(result: HierarchyResult) -> DualCertificate:
     p = psi0 - psi1
     p[0] -= 1.0
 
-    cert = DualCertificate(
-        level=n, dim=d, p=p,
-        gram_sigma0=g_sigma0, gram_sigma1=g_sigma1,
-        gram_psi0=g_psi0, gram_psi1=g_psi1,
-        dual_value=0.0,
-    )
-    value = _certificate_value(cert, result.mu_moments, result.nu_moments)
+    # the certificate stores symmetric Grams, so its value is taken from them
+    g_sigma0, g_sigma1, g_psi0, g_psi1 = (
+        0.5 * (g + g.T) for g in (g_sigma0, g_sigma1, g_psi0, g_psi1))
+    value = _certificate_value(n, p, poly_from_gram(g_sigma1, d, n),
+                               poly_from_gram(g_psi1, d, n),
+                               result.mu_moments, result.nu_moments)
     cert = DualCertificate(
         level=n, dim=d, p=p,
         gram_sigma0=g_sigma0, gram_sigma1=g_sigma1,
@@ -234,7 +228,8 @@ def verify_certificate(cert: DualCertificate, mu: MomentSequence, nu: MomentSequ
             f"{2 * cert.level}"
         )
     _check_certificate(cert)
-    return float(_certificate_value(cert, mu, nu))
+    _, sigma1, _, psi1 = cert.polynomials()
+    return float(_certificate_value(cert.level, cert.p, sigma1, psi1, mu, nu))
 
 
 def nishiyama_bound(m1: float, s1: float, m2: float, s2: float) -> float:

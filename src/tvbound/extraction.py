@@ -17,7 +17,7 @@ import numpy as np
 from .conic import SolveStatus
 from .errors import DegreeTooLow, IllConditioned, NotFlat, UnsupportedDimension
 from .measures import AtomicMeasure
-from .moments import MomentSequence, moment_matrix
+from .moments import MomentSequence, moment_matrix, power_sums
 from .relaxation import HierarchyResult
 
 DEFAULT_RANK_TOL = 1e-6
@@ -56,15 +56,10 @@ def flatness(seq: MomentSequence, n: int, rank_tol: float = DEFAULT_RANK_TOL) ->
             f"{seq.max_degree}"
         )
     ranks = tuple(
-        _numerical_rank(moment_matrix(seq, k).entries, rank_tol) for k in range(n + 1)
+        _numerical_rank(moment_matrix(seq, k), rank_tol) for k in range(n + 1)
     )
     flat = ranks[n] == ranks[n - 1]
     return FlatnessReport(ranks=ranks, flat=flat, flat_rank=ranks[n], rank_tol=rank_tol)
-
-
-def _reconstruct(points: np.ndarray, weights: np.ndarray, max_degree: int) -> np.ndarray:
-    vander = np.vander(points, max_degree + 1, increasing=True)  # (r, deg+1)
-    return vander.T @ weights
 
 
 def extract_atoms(
@@ -88,8 +83,7 @@ def extract_atoms(
     if r == 0:
         return AtomicMeasure(np.zeros((0, 1)), np.zeros(0))
 
-    hankel = np.asarray(moment_matrix(seq, n).entries)
-    eigvals, eigvecs = np.linalg.eigh(hankel)
+    eigvals, eigvecs = np.linalg.eigh(moment_matrix(seq, n))
     lead = eigvals[-r:]
     if np.any(lead <= 0):
         raise IllConditioned(
@@ -115,7 +109,7 @@ def extract_atoms(
     if np.min(weights) < -10.0 * rank_tol:
         raise IllConditioned(f"extracted weight {np.min(weights):.3e} is negative")
 
-    recon = _reconstruct(points, weights, 2 * n)
+    recon = power_sums(points[:, None], weights, 2 * n)
     scale = max(1.0, float(np.max(np.abs(seq.values))))
     err = float(np.max(np.abs(recon - seq.values))) / scale
     if err > recon_tol:
@@ -186,11 +180,8 @@ def recover_hahn_jordan(
     )
 
     diff = result.mu_moments.values - result.nu_moments.values
-    recon = np.zeros_like(diff)
-    if len(plus.weights):
-        recon += _reconstruct(plus.points[:, 0], plus.weights, 2 * n)
-    if len(minus.weights):
-        recon -= _reconstruct(minus.points[:, 0], minus.weights, 2 * n)
+    recon = (power_sums(plus.points, plus.weights, 2 * n)
+             - power_sums(minus.points, minus.weights, 2 * n))
     scale = max(1.0, float(np.max(np.abs(diff))))
     err = float(np.max(np.abs(recon - diff))) / scale
     if err > match_tol:

@@ -22,8 +22,7 @@ from .errors import (
     QuadratureNonConvergent,
     UnsupportedDimension,
 )
-from .indexing import basis_indices
-from .moments import MomentSequence
+from .moments import MomentSequence, power_sums
 
 _MIXTURE_WEIGHT_TOL = 1e-12
 
@@ -208,22 +207,6 @@ def _gaussian_moments_1d(mean: float, std: float, max_degree: int) -> np.ndarray
     return out
 
 
-def _atomic_moments(points: np.ndarray, weights: np.ndarray, d: int, max_degree: int) -> np.ndarray:
-    basis = basis_indices(d, max_degree)
-    # powers[j, k, :] = points[:, j] ** k, reused across multi-indices
-    powers = np.stack(
-        [np.vander(points[:, j], max_degree + 1, increasing=True).T for j in range(d)]
-    )
-    vals = np.empty(len(basis))
-    for i, alpha in enumerate(basis.indices):
-        mono = weights.copy()
-        for j, a in enumerate(alpha):
-            if a:
-                mono = mono * powers[j, a]
-        vals[i] = mono.sum()
-    return vals
-
-
 def moments(spec: MeasureSpec, d: int, max_degree: int) -> MomentSequence:
     """Exact truncated moments of ``spec`` up to ``max_degree``.
 
@@ -245,7 +228,7 @@ def moments(spec: MeasureSpec, d: int, max_degree: int) -> MomentSequence:
         )
         return MomentSequence(1, max_degree, vals)
     if isinstance(spec, Atomic):
-        return MomentSequence(d, max_degree, _atomic_moments(spec.points, spec.weights, d, max_degree))
+        return MomentSequence(d, max_degree, power_sums(spec.points, spec.weights, max_degree))
     if isinstance(spec, Mixture):
         vals = sum(w * moments(comp, d, max_degree).values for w, comp in spec.components)
         return MomentSequence(d, max_degree, vals)
@@ -260,7 +243,7 @@ def empirical_moments(samples, max_degree: int) -> MomentSequence:
     if s.size == 0:
         raise EmptySample("cannot form empirical moments from an empty sample")
     n, d = s.shape
-    vals = _atomic_moments(s, np.full(n, 1.0 / n), d, max_degree)
+    vals = power_sums(s, np.full(n, 1.0 / n), max_degree)
     vals[0] = 1.0
     return MomentSequence(d, max_degree, vals)
 

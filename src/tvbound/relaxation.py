@@ -35,8 +35,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from functools import lru_cache
-from math import comb
 
 import numpy as np
 
@@ -45,35 +43,7 @@ from .conic import ConicProgram, PsdBlock, SolveResult, SolveStatus, SolverSetti
 from .errors import CertificateMismatch, DegreeTooLow, DimensionMismatch, SolverFailure
 from .indexing import basis_size
 from .measures import MeasureSpec, moments
-from .moments import MomentSequence, degree_vector, moment_matrix, product_positions
-
-
-@lru_cache(maxsize=None)
-def _structure_tensor(d: int, n: int) -> np.ndarray:
-    """T[a] is the 0/1 matrix with ones where alpha_i + alpha_j = alpha_a,
-    so that M_n(phi) = sum_a phi_a T[a]."""
-    table = product_positions(d, n)
-    s2n = basis_size(d, 2 * n)
-    s = table.shape[0]
-    tensor = np.zeros((s2n, s, s))
-    for a in range(s2n):
-        tensor[a][table == a] = 1.0
-    tensor.setflags(write=False)
-    return tensor
-
-
-def _affine_matrix(a: float, b: float, d: int, degree: int) -> np.ndarray:
-    """B with v(a x + b) = B v(x) on the degree-``degree`` basis: in d = 1,
-    B[k, j] = C(k, j) a^j b^(k - j); in d > 1, b must be 0 and B is diagonal."""
-    if d > 1:
-        if b != 0.0:
-            raise DimensionMismatch("shifted variable maps are univariate")
-        return np.diag((1.0 / a) ** (-degree_vector(d, degree)))
-    mat = np.zeros((degree + 1, degree + 1))
-    for k in range(degree + 1):
-        for j in range(k + 1):
-            mat[k, j] = comb(k, j) * a**j * b ** (k - j)
-    return mat
+from .moments import MomentSequence, affine_matrix, moment_matrix, structure_tensor
 
 
 def _affine_moments(seq: MomentSequence, a: float, b: float) -> MomentSequence:
@@ -83,7 +53,7 @@ def _affine_moments(seq: MomentSequence, a: float, b: float) -> MomentSequence:
     left to right.  B @ m is as accurate, but at high degree B is
     ill-conditioned and the BLAS summation order moves solver statuses.
     """
-    mat = _affine_matrix(a, b, seq.dim, seq.max_degree)
+    mat = affine_matrix(a, b, seq.dim, seq.max_degree)
     return MomentSequence(seq.dim, seq.max_degree, np.cumsum(mat * seq.values, axis=1).diagonal())
 
 
@@ -92,7 +62,8 @@ class VariableMap:
     """Affine change of variables y = (x - shift) / scale used for a solve.
 
     The one implementation of the map: moments go to and from the solver's
-    variable, and certificates come back from it, through ``_affine_matrix``.
+    variable, and certificates come back from it, through
+    ``moments.affine_matrix``.
     ``VariableMap()`` is the identity frame; a shift needs d = 1.
     """
 
@@ -110,7 +81,7 @@ class VariableMap:
 
     def basis_change(self, d: int, degree: int) -> np.ndarray:
         """Matrix B with v(y) = B v(x) on the degree-``degree`` basis."""
-        return _affine_matrix(1.0 / self.scale, -self.shift / self.scale, d, degree)
+        return affine_matrix(1.0 / self.scale, -self.shift / self.scale, d, degree)
 
 
 def variable_map_for(mu: MomentSequence, nu: MomentSequence, n: int) -> VariableMap:
@@ -251,9 +222,9 @@ def assemble(
     d = mu.dim
     s2n = basis_size(d, 2 * n)
     s = basis_size(d, n)
-    tensor = _structure_tensor(d, n)
-    m_mu = np.asarray(moment_matrix(mu, n).entries)
-    m_nu = np.asarray(moment_matrix(nu, n).entries)
+    tensor = structure_tensor(d, n)
+    m_mu = moment_matrix(mu, n)
+    m_nu = moment_matrix(nu, n)
 
     # objective phi(1) + psi(1) = 2 phi_0 - (mu_0 - nu_0)
     c = np.zeros(s2n)
@@ -457,9 +428,9 @@ def solve_level(
 
 @dataclass(frozen=True, eq=False)
 class HierarchySweep:
-    """Results of a multi-level run, in level order, plus the monotonicity
-    flag (rho nondecreasing within 2x the effective solver tolerance across
-    Optimal levels)."""
+    """Results of a multi-level run, in the order the levels were given,
+    plus the monotonicity flag (rho nondecreasing in the level within 2x the
+    effective solver tolerance across Optimal levels)."""
 
     results: tuple
     monotone: bool
@@ -479,6 +450,8 @@ class HierarchySweep:
 
 
 def monotone_within(results, slack: float) -> bool:
+    """Whether rho is nondecreasing, within ``slack``, across the Optimal
+    entries of ``results`` in the order given."""
     rhos = [r.rho for r in results if r.status == SolveStatus.OPTIMAL]
     return all(b >= a - slack for a, b in zip(rhos[:-1], rhos[1:]))
 
@@ -518,5 +491,6 @@ def solve_hierarchy(mu, nu, levels, settings: HierarchySettings | None = None) -
             results.append(failure.result)
     return HierarchySweep(
         results=tuple(results),
-        monotone=monotone_within(results, 2.0 * settings.accept_tol),
+        monotone=monotone_within(sorted(results, key=lambda r: r.level),
+                                 2.0 * settings.accept_tol),
     )

@@ -17,11 +17,10 @@ from tvbound.certificates import (
 from tvbound.conic import ConicProgram, PsdBlock, SolveStatus, SolverSettings, solve
 from tvbound.errors import CertificateMismatch
 from tvbound.measures import Atomic, Gaussian, exact_tv_univariate_density, moments
-from tvbound.moments import poly_from_gram
+from tvbound.moments import poly_from_gram, structure_tensor
 from tvbound.relaxation import (
     HierarchySettings,
     VariableMap,
-    _structure_tensor,
     solve_hierarchy,
     solve_level,
 )
@@ -148,7 +147,7 @@ def test_p_reconstruction_matches_equality_multipliers():
     mu, nu = gaussian_pair(0.0, 0.1, 1.0, 0.1, 2)
     res = solve_level(mu, nu, 1, HierarchySettings(certify=True), var_map=VariableMap())
 
-    tensor = _structure_tensor(1, 1)  # (3, 2, 2)
+    tensor = structure_tensor(1, 1)  # (3, 2, 2)
     m_mu = np.array([[mu[0], mu[1]], [mu[1], mu[2]]])
     m_nu = np.array([[nu[0], nu[1]], [nu[1], nu[2]]])
     blocks = (
@@ -174,9 +173,7 @@ def test_p_reconstruction_matches_equality_multipliers():
 
     # the dual face is not unique, so the eliminated solve may land on a
     # different certificate; both must certify the same value
-    from tvbound.certificates import _certificate_value
-
-    assert _certificate_value(res.certificate, mu, nu) == pytest.approx(
+    assert verify_certificate(res.certificate, mu, nu) == pytest.approx(
         out.objective, abs=1e-4
     )
 

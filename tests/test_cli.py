@@ -113,11 +113,33 @@ def test_normalized_flag(tmp_path, capsys):
     assert halved == pytest.approx(1.0, abs=1e-6)
 
 
+def test_bound_pretty_flags_untrusted_rows(tmp_path, capsys):
+    cfg = {k: v for k, v in GAUSS_ROW.items() if k != "format"}
+    assert main(["bound", "--config", write_config(tmp_path, cfg)]) == 0
+    header, *rows = capsys.readouterr().out.strip().splitlines()
+    assert header.split() == ["n", "rho_n", "dual_value", "gap", "status", "wall_ms"]
+    assert [row.split()[0] for row in rows] == ["1", "2"]
+    assert all("Optimal" in row and "[untrusted]" not in row for row in rows)
+    assert float(rows[0].split()[1]) == pytest.approx(1.9231, abs=1e-3)
+
+    cfg["solver"] = {"max_iter": 1}
+    assert main(["bound", "--config", write_config(tmp_path, cfg)]) == 2
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    assert len(rows) == 2
+    assert all("MaxIter" in row and row.endswith("[untrusted]") for row in rows)
+
+
 def test_exact_atomic(tmp_path, capsys):
     code = main(["exact", "--config", write_config(tmp_path, DISCRETE)])
     out = capsys.readouterr().out
     assert code == 0
     assert "1.5" in out
+
+
+def test_exact_atomic_csv(tmp_path, capsys):
+    code = main(["exact", "--config", write_config(tmp_path, dict(DISCRETE, format="csv"))])
+    assert code == 0
+    assert capsys.readouterr().out.strip().splitlines() == ["tv,method", "1.5,atomic"]
 
 
 def test_exact_density(tmp_path, capsys):
@@ -167,6 +189,28 @@ def test_extract_density_reports_not_flat(tmp_path, capsys):
     assert payload["flat"] is False
 
 
+def test_extract_pretty_flat_and_not_flat(tmp_path, capsys):
+    assert main(["extract", "--config", write_config(tmp_path, DELTA)]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0] == "n=1  rho_n=2.000000"
+    assert lines[1].split(": (")[0] == "  phi+"
+    assert lines[2].split(": (")[0] == "  phi-"
+    point, weight = lines[2].split(": (")[1].rstrip(")").split(": ")
+    assert float(point) == pytest.approx(0.1, abs=1e-6)
+    assert float(weight) == pytest.approx(1.0, abs=1e-6)
+
+    cfg = {
+        "version": 1,
+        "mu": {"type": "gaussian", "mean": 0.0, "stddev": 0.5},
+        "nu": {"type": "gaussian", "mean": 1.0, "stddev": 0.5},
+        "levels": 2,
+    }
+    assert main(["extract", "--config", write_config(tmp_path, cfg)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("n=2  rho_n=")
+    assert "not flat: no atomic representative" in out
+
+
 def test_moments_dump(tmp_path, capsys):
     cfg = {
         "version": 1,
@@ -189,6 +233,18 @@ def test_certify_gaussian_row(tmp_path, capsys):
     assert payload["verdict"] == "OK"
     assert payload["verified_value"] == pytest.approx(1.9231, abs=1e-3)
     assert payload["identity_residuals"]["one_plus_p"] <= 1e-6
+
+
+def test_certify_pretty(tmp_path, capsys):
+    cfg = dict(GAUSS_ROW, levels=1, format="pretty")
+    assert main(["certify", "--config", write_config(tmp_path, cfg)]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert "verdict OK" in lines[0]
+    assert float(lines[0].split("verified value ")[1]) == pytest.approx(1.9231, abs=1e-3)
+    assert lines[1].startswith("  p coefficients: [")
+    assert [ln.split(":")[0] for ln in lines[2:6]] == [
+        "  eig(sigma0)", "  eig(sigma1)", "  eig(psi0)", "  eig(psi1)"]
+    assert lines[6].startswith("  identity residuals: {'one_minus_p': ")
 
 
 def test_empirical_source_sampling_deterministic(tmp_path, capsys):

@@ -3,12 +3,16 @@ import pytest
 
 from tvbound.errors import DegreeTooLow
 from tvbound.indexing import basis_indices, basis_size
+from tvbound.measures import Atomic, moments
 from tvbound.moments import (
     MomentSequence,
+    gram_preimage,
     moment_matrix,
     poly_from_gram,
+    power_sums,
     riesz,
     riesz_vector,
+    structure_tensor,
 )
 
 from oracles import hermgauss_moments
@@ -26,18 +30,18 @@ def test_moment_matrix_dirac():
     eps = 0.01
     seq = MomentSequence(1, 2, [1.0, eps, eps * eps])
     mat = moment_matrix(seq, 1)
-    assert np.array_equal(mat.entries, [[1.0, eps], [eps, eps * eps]])
+    assert np.array_equal(mat, [[1.0, eps], [eps, eps * eps]])
 
 
 def test_moment_matrix_zero():
     seq = MomentSequence(1, 4, np.zeros(5))
-    assert np.array_equal(moment_matrix(seq, 2).entries, np.zeros((3, 3)))
+    assert np.array_equal(moment_matrix(seq, 2), np.zeros((3, 3)))
 
 
 def test_moment_matrix_normal():
     seq = MomentSequence(1, 4, STD_NORMAL_DEG4)
     expected = [[1, 0, 1], [0, 1, 0], [1, 0, 3]]
-    assert np.array_equal(moment_matrix(seq, 2).entries, expected)
+    assert np.array_equal(moment_matrix(seq, 2), expected)
 
 
 def test_moment_matrix_degree_too_low():
@@ -49,7 +53,7 @@ def test_moment_matrix_degree_too_low():
 def test_moment_matrix_multivariate_symmetry():
     rng = np.random.default_rng(0)
     seq = MomentSequence(2, 4, rng.standard_normal(basis_size(2, 4)))
-    mat = moment_matrix(seq, 2).entries
+    mat = moment_matrix(seq, 2)
     assert np.array_equal(mat, mat.T)
     basis = basis_indices(2, 2)
     for i, a in enumerate(basis.indices):
@@ -82,7 +86,7 @@ def test_riesz_equals_quadratic_form():
                     key = tuple(x + y for x, y in zip(a, b))
                     square[key] = square.get(key, 0.0) + p[i] * p[j]
             lhs = riesz(seq, square)
-            rhs = float(p @ moment_matrix(seq, n).entries @ p)
+            rhs = float(p @ moment_matrix(seq, n) @ p)
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
@@ -99,7 +103,7 @@ def test_moment_matrix_psd_for_atomic_measures():
             for a in basis.indices
         ]
         seq = MomentSequence(d, 4, vals)
-        eigs = np.linalg.eigvalsh(moment_matrix(seq, 2).entries)
+        eigs = np.linalg.eigvalsh(moment_matrix(seq, 2))
         assert eigs[0] >= -1e-10
 
 
@@ -142,3 +146,82 @@ def test_riesz_vector_consistency():
     seq = MomentSequence(1, 4, STD_NORMAL_DEG4)
     coeffs = np.array([-3.0, 0.0, 0.0, 0.0, 1.0])
     assert riesz_vector(seq, coeffs, 4) == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_moment_matrix_is_the_structure_tensor_sum(d):
+    rng = np.random.default_rng(30 + d)
+    for n in (1, 2, 3):
+        seq = MomentSequence(d, 2 * n, rng.standard_normal(basis_size(d, 2 * n)))
+        summed = np.tensordot(seq.values, structure_tensor(d, n), axes=1)
+        assert np.array_equal(summed, moment_matrix(seq, n))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_poly_from_gram_is_the_adjoint_of_moment_matrix(d):
+    # <M_n(y), G> = y . poly_from_gram(G) for every y and symmetric G
+    rng = np.random.default_rng(40 + d)
+    for n in (1, 2, 3):
+        s = basis_size(d, n)
+        for _ in range(5):
+            seq = MomentSequence(d, 2 * n, rng.standard_normal(basis_size(d, 2 * n)))
+            gram = rng.standard_normal((s, s))
+            gram = gram + gram.T
+            lhs = float(np.sum(moment_matrix(seq, n) * gram))
+            rhs = float(seq.values @ poly_from_gram(gram, d, n))
+            assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_gram_preimage_is_the_least_norm_preimage(d):
+    rng = np.random.default_rng(50 + d)
+    for n in (1, 2, 3):
+        s = basis_size(d, n)
+        coeffs = rng.standard_normal(basis_size(d, 2 * n))
+        pre = gram_preimage(coeffs, d, n)
+        assert np.array_equal(pre, pre.T)
+        assert np.allclose(poly_from_gram(pre, d, n), coeffs, rtol=1e-14, atol=1e-14)
+        # least norm: orthogonal to every G that maps to the zero polynomial
+        for _ in range(5):
+            g = rng.standard_normal((s, s))
+            g = g + g.T
+            null = g - gram_preimage(poly_from_gram(g, d, n), d, n)
+            assert np.allclose(poly_from_gram(null, d, n), 0.0, atol=1e-13)
+            assert float(np.sum(pre * null)) == pytest.approx(0.0, abs=1e-12)
+
+
+def _power_sums_one_monomial_at_a_time(points, weights, max_degree):
+    # reference: w times the coordinate powers in coordinate order, summed
+    # over the atoms, one multi-index at a time
+    d = points.shape[1]
+    powers = [np.vander(points[:, j], max_degree + 1, increasing=True).T for j in range(d)]
+    out = []
+    for alpha in basis_indices(d, max_degree).indices:
+        mono = weights.copy()
+        for j, a in enumerate(alpha):
+            if a:
+                mono = mono * powers[j][a]
+        out.append(mono.sum())
+    return np.array(out)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_power_sums_are_the_moments_of_atoms(d):
+    rng = np.random.default_rng(60 + d)
+    for _ in range(40):
+        # more than 8 atoms sum pairwise, fewer in sequence
+        r = int(rng.integers(1, 40))
+        degree = int(rng.integers(0, 9))
+        pts = rng.uniform(-2, 2, size=(r, d))
+        w = rng.uniform(0.1, 1.0, size=r)
+        sums = power_sums(pts, w, degree)
+        assert np.array_equal(sums, _power_sums_one_monomial_at_a_time(pts, w, degree))
+        assert np.array_equal(sums, moments(Atomic(pts, w), d, degree).values)
+        direct = [np.sum(w * np.prod(pts ** np.array(a), axis=1))
+                  for a in basis_indices(d, degree).indices]
+        assert np.allclose(sums, direct, rtol=1e-12, atol=1e-12)
+
+
+def test_power_sums_of_no_atoms_are_zero():
+    assert np.array_equal(power_sums(np.zeros((0, 2)), np.zeros(0), 3),
+                          np.zeros(basis_size(2, 3)))

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -220,6 +222,24 @@ def test_monotone_and_lower_bound():
     assert np.all(sweep.rhos <= tv + 1e-4)
 
 
+def test_monotone_flag_judges_levels_in_level_order(monkeypatch):
+    from tvbound import relaxation as relax_mod
+
+    mu, nu = Gaussian(0, 0.5), Gaussian(1, 0.5)
+    sweep = solve_hierarchy(mu, nu, [3, 1])
+    assert [r.level for r in sweep] == [3, 1]
+    assert all(r.status == SolveStatus.OPTIMAL for r in sweep)
+    assert sweep.rhos[0] > sweep.rhos[1] + 0.1
+    assert sweep.monotone
+
+    # a real drop, rho falling as the level rises, reads False in either order
+    dropping = {1: 1.0, 3: 0.5}
+    monkeypatch.setattr(relax_mod, "solve_level", lambda mu, nu, n, settings: SimpleNamespace(
+        level=n, rho=dropping[n], status=SolveStatus.OPTIMAL))
+    assert not solve_hierarchy(mu, nu, [1, 3]).monotone
+    assert not solve_hierarchy(mu, nu, [3, 1]).monotone
+
+
 def test_swap_symmetry():
     mu, nu = gaussian_pair(0, 0.2, 1, 0.3, 6)
     r1 = solve_level(mu, nu, 3)
@@ -231,8 +251,8 @@ def test_domination_at_decoded_optimum():
     # consequence of the domination LMIs, checked in original coordinates
     mu, nu = gaussian_pair(0, 0.2, 1, 0.2, 6)
     res = solve_level(mu, nu, 3)
-    m_mu = moment_matrix(mu, 3).entries
-    m_phi = moment_matrix(res.phi, 3).entries
+    m_mu = moment_matrix(mu, 3)
+    m_phi = moment_matrix(res.phi, 3)
     floor = -10.0 * 1e-4  # ten times the effective solver tolerance
     assert np.linalg.eigvalsh(m_phi)[0] >= floor
     assert np.linalg.eigvalsh(m_mu - m_phi)[0] >= floor

@@ -1,0 +1,137 @@
+"""Bit-level fingerprint of the solver's results, for refactors that must
+not change them.
+
+    python3 tools/fingerprint.py OUT [--root CHECKOUT]
+    python3 tools/fingerprint.py --compare A B
+
+The first form imports ``tvbound`` from ``CHECKOUT/src`` and the benchmark's
+ops from ``CHECKOUT/perfbench/workloads.py`` (``CHECKOUT`` defaults to the
+checkout holding this file), runs two sets of solves and writes one
+tab-separated row per solve to ``OUT``:
+
+* the 212 ops of the three benchmark workloads, each run as the benchmark
+  runs it (``workloads.run_op``), with the verified certificate value and
+  the extracted atoms;
+* a wide sweep of 598 solves: every ``atomic_exact`` pair at n = 1 ..
+  exactness + 6 (+ 2 for the 2-D pair), with default settings and with
+  ``certify=True``, and the nine published Gaussian pairs and Exponential 1
+  against 2 at n = 5..14 with default settings.
+
+A row holds the status, rho as a float hex and the iteration count.  BLAS is
+pinned to one thread, since its thread count changes summation orders.  The
+second form lists the rows of two such files that differ and exits 1 if any
+do.  To fingerprint an older commit, export it (``git archive``) and pass
+its directory as ``--root``.  A run takes under a minute on one core.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import sys
+import time
+from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+WIDE_LEVELS_ABOVE_EXACT = 6
+WIDE_LEVELS_ABOVE_EXACT_2D = 2
+WIDE_DENSITY_LEVELS = range(5, 15)
+
+
+def _hex(value) -> str:
+    return "-" if value is None else float(value).hex()
+
+
+def _atoms(measure) -> str:
+    return ",".join(f"{_hex(p)}:{_hex(w)}" for p, w in zip(measure.points[:, 0], measure.weights))
+
+
+def _solve_row(res) -> list:
+    return [res.status.value, _hex(res.rho), str(res.solve.iterations)]
+
+
+def benchmark_rows(W):
+    for workload in ("gaussian_table", "atomic_exact", "certified"):
+        for op in W.build_ops(workload):
+            W.set_reference_moments(op)
+            res, extracted, verified, error = W.run_op(op)
+            atoms = "-" if extracted is None else "|".join(_atoms(m) for m in extracted)
+            yield f"bench/{workload}/{op.name}", _solve_row(res) + [_hex(verified), atoms, error]
+
+
+def wide_rows(W):
+    from tvbound.measures import Exponential, Gaussian
+    from tvbound.relaxation import HierarchySettings, solve_hierarchy
+
+    settings = (("default", HierarchySettings()), ("certify", HierarchySettings(certify=True)))
+    for name, mu, nu, exact in W.atomic_pairs():
+        above = WIDE_LEVELS_ABOVE_EXACT if mu.dim == 1 else WIDE_LEVELS_ABOVE_EXACT_2D
+        for label, setting in settings:
+            for n in range(1, exact + above + 1):
+                res = solve_hierarchy(mu, nu, [n], setting)[0]
+                yield f"wide/{name}/{label}/n={n}", _solve_row(res)
+    pairs = [(f"gauss({m1},{s1})/({m2},{s2})", Gaussian(m1, s1), Gaussian(m2, s2))
+             for (m1, s1), (m2, s2) in W.GAUSSIAN_PAIRS]
+    pairs.append(("exponential-1-vs-2", Exponential(1.0), Exponential(2.0)))
+    for name, mu, nu in pairs:
+        for n in WIDE_DENSITY_LEVELS:
+            res = solve_hierarchy(mu, nu, [n])[0]
+            yield f"wide/{name}/default/n={n}", _solve_row(res)
+
+
+def record(out: Path, root: Path) -> None:
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    import tvbound
+    import workloads as W
+
+    if Path(tvbound.__file__).resolve().parent != (root / "src" / "tvbound").resolve():
+        sys.exit(f"error: imported tvbound from {tvbound.__file__}, not {root / 'src'}")
+    start = time.perf_counter()
+    count = 0
+    with open(out, "w") as fh:
+        for rows in (benchmark_rows(W), wide_rows(W)):
+            for key, fields in rows:
+                fh.write("\t".join([key, *fields]) + "\n")
+                count += 1
+    print(f"{count} rows in {time.perf_counter() - start:.1f} s -> {out}")
+
+
+def _read(path: Path) -> dict:
+    rows = {}
+    for line in path.read_text().splitlines():
+        key, _, fields = line.partition("\t")
+        rows[key] = fields
+    return rows
+
+
+def compare(a: Path, b: Path) -> int:
+    left, right = _read(a), _read(b)
+    differ = 0
+    for key in list(left) + [k for k in right if k not in left]:
+        if left.get(key) != right.get(key):
+            differ += 1
+            print(f"{key}\n  {a}: {left.get(key, '(missing)')}\n  {b}: {right.get(key, '(missing)')}")
+    print(f"{len(left)} and {len(right)} rows, {differ} differ")
+    return 1 if differ else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("out", nargs="?", type=Path, help="file to write the rows to")
+    parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
+                        help="checkout whose src/ and perfbench/ are used")
+    parser.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"),
+                        help="list the rows of two fingerprint files that differ")
+    args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
+    if args.out is None:
+        parser.error("give an output file or --compare A B")
+    record(args.out, args.root.resolve())
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
