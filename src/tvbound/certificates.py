@@ -51,7 +51,6 @@ class DualCertificate:
     gram_sigma1: np.ndarray
     gram_psi0: np.ndarray
     gram_psi1: np.ndarray
-    dual_value: float
 
     def __post_init__(self):
         s = basis_size(self.dim, self.level)
@@ -78,19 +77,6 @@ class DualCertificate:
             poly_from_gram(self.gram_psi0, d, n),
             poly_from_gram(self.gram_psi1, d, n),
         )
-
-
-def _certificate_value(level: int, p: np.ndarray, sigma1: np.ndarray, psi1: np.ndarray,
-                       mu: MomentSequence, nu: MomentSequence) -> float:
-    """integral p d(mu - nu) - integral sigma1 dmu - integral psi1 dnu, from
-    the coefficient vectors of a level-``level`` certificate."""
-    deg = 2 * level
-    return (
-        riesz_vector(mu, p, deg)
-        - riesz_vector(nu, p, deg)
-        - riesz_vector(mu, sigma1, deg)
-        - riesz_vector(nu, psi1, deg)
-    )
 
 
 def _identity_residuals(cert: DualCertificate) -> tuple[float, float]:
@@ -198,17 +184,10 @@ def recover_certificate(result: HierarchyResult) -> DualCertificate:
     p = psi0 - psi1
     p[0] -= 1.0
 
-    # the certificate stores symmetric Grams, so its value is taken from them
-    g_sigma0, g_sigma1, g_psi0, g_psi1 = (
-        0.5 * (g + g.T) for g in (g_sigma0, g_sigma1, g_psi0, g_psi1))
-    value = _certificate_value(n, p, poly_from_gram(g_sigma1, d, n),
-                               poly_from_gram(g_psi1, d, n),
-                               result.mu_moments, result.nu_moments)
     cert = DualCertificate(
         level=n, dim=d, p=p,
         gram_sigma0=g_sigma0, gram_sigma1=g_sigma1,
         gram_psi0=g_psi0, gram_psi1=g_psi1,
-        dual_value=float(value),
     )
     _check_certificate(cert)
     return cert
@@ -229,7 +208,14 @@ def verify_certificate(cert: DualCertificate, mu: MomentSequence, nu: MomentSequ
         )
     _check_certificate(cert)
     _, sigma1, _, psi1 = cert.polynomials()
-    return float(_certificate_value(cert.level, cert.p, sigma1, psi1, mu, nu))
+    # integral p d(mu - nu) - integral sigma1 dmu - integral psi1 dnu
+    deg = 2 * cert.level
+    return float(
+        riesz_vector(mu, cert.p, deg)
+        - riesz_vector(nu, cert.p, deg)
+        - riesz_vector(mu, sigma1, deg)
+        - riesz_vector(nu, psi1, deg)
+    )
 
 
 def nishiyama_bound(m1: float, s1: float, m2: float, s2: float) -> float:

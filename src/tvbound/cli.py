@@ -195,6 +195,7 @@ def cmd_bound(cfg: RunConfig) -> int:
             "primal_residual": res.primal_residual,
             "dual_residual": res.dual_residual,
             "iterations": res.solve.iterations,
+            "stop_reason": res.solve.stop_reason,
             "untrusted": res.status != SolveStatus.OPTIMAL,
         })
     if cfg.fmt == "csv":

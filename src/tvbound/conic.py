@@ -14,8 +14,10 @@ Nesterov-Todd scaled predictor-corrector method, and every exit scatters the
 duals back to input block order and shape.  The solver restricts nothing to
 a face: no block may have a constant kernel (see ``solve``).  In the core
 the affine map, its adjoint, the dual projection and the Schur complement
-are a few matmuls per group, and the Cholesky factorizations, the NT-scaling
-SVD and the step-length eigenvalues one batched call each.
+are a few matmuls per group.  Each iterate is factored once, by the cone
+check that accepts it, and each step-length pair is one eigen-solve, so a
+typical iteration makes two Cholesky calls (the iterate and the Schur
+matrix), one SVD and two or three eigen-solves per group.
 
 All computations are deterministic: identical inputs and settings produce
 bit-identical outputs.
@@ -130,6 +132,11 @@ class SolveResult:
     or below the acceptance tolerance ``SolverSettings.accept``, which may be
     looser than the target ``tol``; they are always the achieved values.  The
     block duals are symmetric PSD multipliers usable for certificate recovery.
+
+    ``stop_reason`` is why the solve stopped: ``converged`` (at ``tol``),
+    ``stalled`` (see ``_solve_cone``), ``max_iter``, ``numerical``,
+    ``infeasible`` or ``pinned_point`` (no variable, the one point tested).
+    An Optimal that did not converge was accepted at ``accept``.
     """
 
     status: SolveStatus
@@ -141,6 +148,7 @@ class SolveResult:
     dual_residual: float
     gap: float
     iterations: int
+    stop_reason: str
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
@@ -170,14 +178,15 @@ def _scatter(positions, stacks) -> tuple:
 
 def _chol(a: np.ndarray):
     """Cholesky factor(s) of a matrix or a stack, jitter ladder per matrix; None on failure."""
+    try:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        pass
     if a.ndim == 3:
-        try:
-            return np.linalg.cholesky(a)
-        except np.linalg.LinAlgError:
-            factors = [_chol(one) for one in a]
-            return None if any(f is None for f in factors) else np.stack(factors)
+        factors = [_chol(one) for one in a]
+        return None if any(f is None for f in factors) else np.stack(factors)
     scale = max(np.trace(a) / a.shape[0], 1e-300)
-    for jitter in (0.0, 1e-14, 1e-12, 1e-10):
+    for jitter in (1e-14, 1e-12, 1e-10):
         try:
             return np.linalg.cholesky(a + (jitter * scale) * np.eye(a.shape[0]))
         except np.linalg.LinAlgError:
@@ -185,14 +194,12 @@ def _chol(a: np.ndarray):
     return None
 
 
-def _in_cone(stacks) -> bool:
-    """Whether every matrix of every stack has a (strict) Cholesky factor."""
+def _in_cone(stacks):
+    """Strict Cholesky factors of every stack, or None if any matrix has none."""
     try:
-        for a in stacks:
-            np.linalg.cholesky(a)
+        return [np.linalg.cholesky(a) for a in stacks]
     except np.linalg.LinAlgError:
-        return False
-    return True
+        return None
 
 
 def _inv_factor(chol_l: np.ndarray) -> np.ndarray:
@@ -200,20 +207,16 @@ def _inv_factor(chol_l: np.ndarray) -> np.ndarray:
     return np.stack([lapack.dtrtri(lf, lower=1)[0] for lf in chol_l])
 
 
-def _lam_min(stacks) -> float:
-    """Smallest eigenvalue of any matrix of any stack."""
-    return min(float(np.linalg.eigvalsh(a)[:, 0].min()) for a in stacks)
-
-
 def _data_scale(f0) -> float:
     """max(1, largest Frobenius norm of a single F_k0)."""
     return max(1.0, max(np.linalg.norm(a) for f in f0 for a in f))
 
 
-def _boundary_step(inv_factors, deltas) -> float:
-    """Largest alpha keeping X + alpha * delta PSD in every block, given L^-1 for X = L L^T."""
-    lam = _lam_min([_sym(li @ d @ li.swapaxes(1, 2)) for li, d in zip(inv_factors, deltas)])
-    return np.inf if lam >= -1e-14 else -1.0 / lam
+def _unstack(stacks, parts: int) -> list:
+    """Undo a per-group concatenation of ``parts`` equal stacks: one list of
+    group stacks per part."""
+    sizes = [len(a) // parts for a in stacks]
+    return [[a[k * g:(k + 1) * g] for a, g in zip(stacks, sizes)] for k in range(parts)]
 
 
 def _inner(a, b) -> float:
@@ -244,12 +247,20 @@ def _solve_cone(c, f0, coeffs, settings: SolverSettings):
     <rp, Z> + rd.x, so a dual objective that runs off while the residuals
     look small does not pass.
 
+    The strict Cholesky factors of the cone check that accepted S and Z
+    (symmetrized before it, so they are the iterate's own) are the next
+    iteration's L and R; it factors afresh only after a backtrack that found
+    no point in the cone.  Each step-length pair takes one eigen-solve per
+    group, on the stacked L^-1 dS L^-T and R^-1 dZ R^-T.
+
     Stabilizers for the degenerate problems this package produces (loss of
     strict complementarity, nearly singular data):
 
     * every step is verified by a strict Cholesky at the candidate point and
       backtracked on failure, since max-step estimates from ill-conditioned
-      factors can overshoot the cone boundary;
+      factors can overshoot the cone boundary.  S, Z and the polished Z
+      (below) are tried in one call per group; only when it fails are they
+      tried one by one, S and Z with backtracking;
     * the dual is kept on the affine dual-feasibility manifold by one
       least-change projection along the F_i (its Gram matrix is constant).
       Every dual direction is projected so that adjoint(dZ) = c - adjoint(Z):
@@ -285,20 +296,44 @@ def _solve_cone(c, f0, coeffs, settings: SolverSettings):
     gram_chol = _chol(_sym(sum(op @ op.T for op in ops)))
 
     def project_dual(zs, target):
-        """Least-change shift of zs along the F_i that makes adjoint = target."""
+        """Least-change shift of zs along the F_i that makes adjoint = target,
+        and the shift's coefficients; zs unchanged if the Gram is singular."""
         if gram_chol is None:
-            return zs, np.inf
+            return zs, None
         lam = lapack.dpotrs(gram_chol, target - adjoint(zs), lower=1)[0]
-        fixed = [_sym(z + d) for z, d in zip(zs, linear(lam))]
-        return fixed, float(np.linalg.norm(lam))
+        return [_sym(z + d) for z, d in zip(zs, linear(lam))], lam
+
+    def polish(zs):
+        """zs projected onto adjoint = c, if that shift is small against zs; else None."""
+        fixed, lam = project_dual(zs, c)
+        if lam is None:
+            return None
+        shift = float(np.linalg.norm(lam))
+        return fixed if np.isfinite(shift) and shift <= 1e-3 * (1.0 + _fro_max(zs)) else None
+
+    def backtrack(X, dX, alpha):
+        """Shrink alpha by 0.8 until X + alpha dX has strict Cholesky factors,
+        at most 40 tries: (alpha, the symmetrized point, its factors or None)."""
+        for _ in range(40):
+            point = [_sym(a + alpha * d) for a, d in zip(X, dX)]
+            factors = _in_cone(point)
+            if factors is not None:
+                return alpha, point, factors
+            alpha *= 0.8
+        return alpha, [_sym(a + alpha * d) for a, d in zip(X, dX)], None
 
     x = np.zeros(m)
     eta = max(1.0, data_norm ** 0.5)
     S = [np.tile(eta * np.eye(f.shape[1]), (f.shape[0], 1, 1)) for f in f0]
     Z = [s.copy() for s in S]
+    # Cholesky factors of S and Z: sqrt(eta) I at the start, which is what
+    # the factorization returns there, and then those of the cone check that
+    # accepted the iterate; None when they must be computed afresh
+    Ls = [np.tile(np.sqrt(eta) * np.eye(f.shape[1]), (f.shape[0], 1, 1)) for f in f0]
+    Rs = Ls
 
     best = None
-    status = SolveStatus.MAX_ITER
+    status, reason = SolveStatus.MAX_ITER, "max_iter"
     score_history = []
 
     def evaluate(x, S, Z):
@@ -324,13 +359,13 @@ def _solve_cone(c, f0, coeffs, settings: SolverSettings):
         score = snap["score"]
 
         if not np.isfinite(score):
-            status = SolveStatus.NUMERICAL_FAILURE
+            status, reason = SolveStatus.NUMERICAL_FAILURE, "numerical"
             break
         if best is None or score < best["score"]:
             best = snap
         score_history.append(best["score"])
         if score <= settings.tol:
-            status = SolveStatus.OPTIMAL
+            status, reason = SolveStatus.OPTIMAL, "converged"
             break
         # accept a stall once the best iterate is already good enough
         if (
@@ -338,30 +373,34 @@ def _solve_cone(c, f0, coeffs, settings: SolverSettings):
             and best["score"] <= settings.accept
             and score_history[-_STALL_WINDOW - 1] < 2.0 * best["score"]
         ):
-            status = SolveStatus.OPTIMAL
+            status, reason = SolveStatus.OPTIMAL, "stalled"
             break
         # dual objective running off to +inf while nearly dual-feasible is a
         # certificate of primal infeasibility (the relaxations never hit this)
         if dobj > 1e9 * max(1.0, abs(pobj)) and snap["dres"] <= 1e-6:
-            status = SolveStatus.INFEASIBLE
+            status, reason = SolveStatus.INFEASIBLE, "infeasible"
             break
 
         mu = gap_abs / total_dim
 
-        Ls = [_chol(s) for s in S]
-        Rs = [_chol(z) for z in Z]
-        if any(f is None for f in Ls + Rs):
-            status = SolveStatus.NUMERICAL_FAILURE
-            break
-        Linv = [_inv_factor(lf) for lf in Ls]
-        Rinv = [_inv_factor(rf) for rf in Rs]
+        if Ls is None or Rs is None:
+            factors = [_chol(np.concatenate(sz)) for sz in zip(S, Z)]
+            if any(f is None for f in factors):
+                status, reason = SolveStatus.NUMERICAL_FAILURE, "numerical"
+                break
+            Ls, Rs = _unstack(factors, 2)
+        # per group, [L^-1; R^-1] and the NT Grams [Winv; Zinv] as one stack
+        # each, from Winv = G^-T G^-1 and Zinv = R^-T R^-1
+        inv = [_inv_factor(np.concatenate(lr)) for lr in zip(Ls, Rs)]
         Winv, Zinv = [], []
-        for lf, rf, ri in zip(Ls, Rs, Rinv):
+        for lf, rf, ri in zip(Ls, Rs, _unstack(inv, 2)[1]):
             rt = rf.swapaxes(1, 2)
             u, sig, _ = np.linalg.svd(rt @ lf)
             ginv = (u / np.sqrt(sig)[:, None, :]).swapaxes(1, 2) @ rt
-            Winv.append(_sym(ginv.swapaxes(1, 2) @ ginv))
-            Zinv.append(_sym(ri.swapaxes(1, 2) @ ri))
+            stack = np.concatenate([ginv, ri])
+            grams = _sym(stack.swapaxes(1, 2) @ stack)
+            Winv.append(grams[:len(lf)])
+            Zinv.append(grams[len(lf):])
 
         # Schur complement  M_ij = sum_k <F_ki, Winv_k F_kj Winv_k>
         M = _sym(sum(
@@ -369,7 +408,7 @@ def _solve_cone(c, f0, coeffs, settings: SolverSettings):
         ))
         mchol = _chol(M)
         if mchol is None:
-            status = SolveStatus.NUMERICAL_FAILURE
+            status, reason = SolveStatus.NUMERICAL_FAILURE, "numerical"
             break
 
         def direction(sigma, corr):
@@ -390,8 +429,15 @@ def _solve_cone(c, f0, coeffs, settings: SolverSettings):
             return dx, ds, dz
 
         def step_lengths(ds, dz):
-            return (min(1.0, _STEP_FRACTION * _boundary_step(Linv, ds)),
-                    min(1.0, _STEP_FRACTION * _boundary_step(Rinv, dz)))
+            # the largest alpha keeping S + alpha ds PSD is -1 / lambda_min of
+            # L^-1 ds L^-T, and likewise for Z; one eigen-solve per group
+            lams = [np.linalg.eigvalsh(_sym(v @ np.concatenate(d) @ v.swapaxes(1, 2)))[:, 0]
+                    for v, d in zip(inv, zip(ds, dz))]
+            steps = []
+            for part in _unstack(lams, 2):
+                lam = min(float(a.min()) for a in part)
+                steps.append(min(1.0, _STEP_FRACTION * (np.inf if lam >= -1e-14 else -1.0 / lam)))
+            return steps
 
         dx_a, ds_a, dz_a = direction(0.0, None)
         ap_a, ad_a = step_lengths(ds_a, dz_a)
@@ -415,27 +461,29 @@ def _solve_cone(c, f0, coeffs, settings: SolverSettings):
         if dz_norm > 0:
             ad = min(ad, 3.0 * (1.0 + _fro_max(Z)) / dz_norm)
 
-        # verify cone membership at the candidate points; the max-step
-        # estimate is unreliable when the current factors are ill-conditioned
-        for _ in range(40):
-            if _in_cone([s + ap * d for s, d in zip(S, ds)]):
-                break
-            ap *= 0.8
-        for _ in range(40):
-            if _in_cone([z + ad * d for z, d in zip(Z, dz)]):
-                break
-            ad *= 0.8
+        # verify cone membership at the candidate points, since the max-step
+        # estimate is unreliable when the current factors are ill-conditioned.
+        # A dual step shorter than 1 leaves the share (1 - ad) of the dual
+        # residual; it is removed when that is a small polish that keeps the
+        # cone.  The factors of the accepted points are the next iteration's
+        S_new = [_sym(s + ap * d) for s, d in zip(S, ds)]
+        Z_new = [_sym(z + ad * d) for z, d in zip(Z, dz)]
+        fixed = polish(Z_new)
+        points = [S_new, Z_new] + ([] if fixed is None else [fixed])
+        factors = _in_cone([np.concatenate(group) for group in zip(*points)])
+        if factors is not None:
+            Ls, Rs, *rest = _unstack(factors, len(points))
+            polished = rest[0] if rest else None
+        else:
+            ap, S_new, Ls = backtrack(S, ds, ap)
+            ad, Z_new, Rs = backtrack(Z, dz, ad)
+            fixed = polish(Z_new)
+            polished = None if fixed is None else _in_cone(fixed)
 
         x = x + ap * dx
-        S = [_sym(s + ap * d) for s, d in zip(S, ds)]
-        Z_new = [_sym(z + ad * d) for z, d in zip(Z, dz)]
-        # a dual step shorter than 1 leaves the share (1 - ad) of the dual
-        # residual; remove it when that is a small polish and keeps the cone
-        fixed, shift = project_dual(Z_new, c)
-        if np.isfinite(shift) and shift <= 1e-3 * (1.0 + _fro_max(Z_new)) and _in_cone(fixed):
-            Z = fixed
-        else:
-            Z = Z_new
+        S, Z = S_new, Z_new
+        if polished is not None:
+            Z, Rs = fixed, polished
 
     else:
         # max_iter exhausted: account for the final step before reporting
@@ -449,9 +497,9 @@ def _solve_cone(c, f0, coeffs, settings: SolverSettings):
             status = SolveStatus.OPTIMAL
 
     if best is None:
-        return (SolveStatus.NUMERICAL_FAILURE, np.zeros(m), [np.zeros_like(f) for f in f0],
-                0.0, 0.0, np.inf, np.inf, np.inf, iters_done)
-    return (status, best["x"], best["Z"], best["pobj"], best["dobj"],
+        return (SolveStatus.NUMERICAL_FAILURE, reason, np.zeros(m),
+                [np.zeros_like(f) for f in f0], 0.0, 0.0, np.inf, np.inf, np.inf, iters_done)
+    return (status, reason, best["x"], best["Z"], best["pobj"], best["dobj"],
             best["pres"], best["dres"], best["relgap"], iters_done)
 
 
@@ -477,16 +525,16 @@ def solve(program: ConicProgram, settings: SolverSettings | None = None) -> Solv
     offset = program.offset
     positions, f0, coeffs = _group(program.blocks)
     if program.n_vars == 0:
-        lam = _lam_min(f0)
+        lam = min(float(np.linalg.eigvalsh(f)[:, 0].min()) for f in f0)
         status = SolveStatus.OPTIMAL if lam >= -1e-8 * _data_scale(f0) else SolveStatus.INFEASIBLE
         zero_duals = _scatter(positions, [np.zeros_like(f) for f in f0])
         return SolveResult(status, np.zeros(0), offset, offset, zero_duals,
-                           max(0.0, -lam), 0.0, 0.0, 0)
+                           max(0.0, -lam), 0.0, 0.0, 0, "pinned_point")
 
-    status, x, duals, pobj, dobj, pres, dres, gap, iters = _solve_cone(
+    status, reason, x, duals, pobj, dobj, pres, dres, gap, iters = _solve_cone(
         program.c, f0, coeffs, settings)
     return SolveResult(status, x, pobj + offset, dobj + offset, _scatter(positions, duals),
-                       pres, dres, gap, iters)
+                       pres, dres, gap, iters, reason)
 
 
 def dump_program(program: ConicProgram, stream=None) -> str:

@@ -131,7 +131,6 @@ def test_trivial_certificate_is_valid_but_loose():
         level=1, dim=1, p=np.zeros(3),
         gram_sigma0=gram_one, gram_sigma1=np.zeros((2, 2)),
         gram_psi0=gram_one, gram_psi1=np.zeros((2, 2)),
-        dual_value=0.0,
     )
     assert verify_certificate(cert, mu, nu) == pytest.approx(0.0)
 

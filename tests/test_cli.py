@@ -91,6 +91,7 @@ def test_bound_json_reports_iterations(tmp_path, capsys):
     settings = HierarchySettings(tol=1e-8, max_iter=250, accept_tol=1e-4)
     sweep = solve_hierarchy(Gaussian(0.0, 0.1), Gaussian(1.0, 0.1), [1, 2], settings)
     assert [row["iterations"] for row in rows] == [res.solve.iterations for res in sweep]
+    assert [row["stop_reason"] for row in rows] == [res.solve.stop_reason for res in sweep]
     assert all(row["iterations"] > 0 for row in rows)
 
 

@@ -14,6 +14,7 @@ from tvbound.relaxation import (
     HierarchySettings,
     _drop_constant_kernel,
     assemble,
+    solve_hierarchy,
     variable_map_for,
 )
 
@@ -177,6 +178,43 @@ def test_max_iter_reports_every_step(max_iter):
     res = solve(arithmetic_geometric_program(), SolverSettings(max_iter=max_iter))
     assert res.status == SolveStatus.MAX_ITER
     assert res.iterations == max_iter
+
+
+def test_iteration_factors_each_iterate_once(monkeypatch):
+    # an iteration factors the Schur matrix and checks the candidate iterate
+    # (S, Z and the polished Z together) with one Cholesky; the next
+    # iteration reuses the factors of that check, and each step-length pair
+    # takes one eigen-solve.  The per-solve allowance covers the Gram of the
+    # dual projection and the rare backtracking
+    counts = dict.fromkeys(("cholesky", "eigvalsh", "svd"), 0)
+    for name in counts:
+        def counted(*args, _call=getattr(np.linalg, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _call(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    iterations = 0
+    for mu, nu, n in ((Gaussian(0.0, 0.5), Gaussian(1.0, 0.5), 3),
+                      (Gaussian(0.8, 0.05), Gaussian(1.0, 0.01), 4)):
+        (res,) = solve_hierarchy(mu, nu, [n])
+        assert res.status == SolveStatus.OPTIMAL
+        iterations += res.solve.iterations
+    assert counts["cholesky"] <= 2 * iterations + 8
+    assert counts["eigvalsh"] <= 3 * iterations
+    assert counts["svd"] == iterations
+
+
+def test_stop_reason_names_each_exit():
+    (res,) = solve_hierarchy(Gaussian(0.0, 0.5), Gaussian(1.0, 0.5), [3])
+    assert (res.status, res.solve.stop_reason) == (SolveStatus.OPTIMAL, "stalled")
+    # example 1's kernels pin every variable at n=4
+    mu = Atomic.univariate([-1.0, 0.0, 1.0, 2.0], [0.25] * 4)
+    nu = Atomic.univariate([-0.7, 0.3, 1.3, 2.3], [0.25] * 4)
+    (res,) = solve_hierarchy(mu, nu, [4])
+    assert (res.solve.iterations, res.solve.stop_reason) == (0, "pinned_point")
+    assert solve(arithmetic_geometric_program()).stop_reason == "converged"
+    res = solve(arithmetic_geometric_program(), SolverSettings(max_iter=1))
+    assert (res.status, res.stop_reason) == (SolveStatus.MAX_ITER, "max_iter")
+    assert solve(fixed_point_program(np.array([2.0, 1.0]))).stop_reason == "pinned_point"
 
 
 def test_no_nan_on_optimal():

@@ -362,7 +362,7 @@ def test_failed_level_marked(monkeypatch):
                 status=SolveStatus.MAX_ITER, x=res.x, objective=res.objective,
                 dual_objective=res.dual_objective, block_duals=res.block_duals,
                 primal_residual=1.0, dual_residual=1.0,
-                gap=1.0, iterations=res.iterations,
+                gap=1.0, iterations=res.iterations, stop_reason="max_iter",
             )
         return res
 
@@ -385,7 +385,7 @@ def test_solver_failure_carries_result(monkeypatch):
             status=SolveStatus.NUMERICAL_FAILURE, x=res.x, objective=res.objective,
             dual_objective=res.dual_objective, block_duals=res.block_duals,
             primal_residual=1.0, dual_residual=1.0,
-            gap=1.0, iterations=res.iterations,
+            gap=1.0, iterations=res.iterations, stop_reason="numerical",
         )
 
     monkeypatch.setattr(relax_mod.conic, "solve", always_bad)
