@@ -28,7 +28,7 @@ print(" n   rho_n      gap to TV   solver gap  iterations")
 for res in sweep:
     print(
         f" {res.level}   {res.rho:.6f}   {tv - res.rho:.2e}   "
-        f"{res.gap:.2e}   {res.solve.iterations}"
+        f"{res.solve.gap:.2e}   {res.solve.iterations}"
     )
 print()
 print("monotone within solver tolerance:", sweep.monotone)

@@ -12,8 +12,8 @@ from tvbound import (
     Empirical,
     Gaussian,
     Mixture,
-    empirical_moments,
     exact_tv_univariate_density,
+    moments,
     sample,
     solve_hierarchy,
 )
@@ -39,5 +39,5 @@ for size in (1_000, 100_000):
     print(f"bounds from {size:>7d} samples:",
           " ".join(f"rho_{r.level}={r.rho:.4f}" for r in sweep))
 
-second = empirical_moments(sample(Gaussian(0, 1), 1_000_000, rng), 2)
+second = moments(Empirical(sample(Gaussian(0, 1), 1_000_000, rng)), 1, 2)
 print(f"\nSLLN sanity: second moment of 1e6 N(0,1) draws = {second[2]:.5f}")

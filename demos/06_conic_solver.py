@@ -1,15 +1,12 @@
 """The dense conic solver underneath, on its own.
 
 Small linear programs over PSD matrix constraints are solved by a
-self-contained primal-dual interior-point method; the debug dump is a plain
-text sparse format for cross-checking a program against external solvers.
+self-contained primal-dual interior-point method.
 """
-
-import sys
 
 import numpy as np
 
-from tvbound import ConicProgram, PsdBlock, SolverSettings, dump_program, solve
+from tvbound import ConicProgram, PsdBlock, SolverSettings, solve
 
 # minimize x1 + x2  subject to  [[x1, 1], [1, x2]] >= 0   (optimum 2 at (1,1))
 f0 = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -36,6 +33,3 @@ program_pinned = ConicProgram(
 result_pinned = solve(program_pinned)
 print(f"\nwith x1 pinned to 2: objective {result_pinned.objective:.9f} "
       f"at x2 = {result_pinned.x[0]:.9f}")
-
-print("\ndebug dump of the program:")
-dump_program(program, sys.stdout)

@@ -6,16 +6,22 @@ degree-2n pseudo-moment pairs dominated by the inputs' moment matrices;
 rho_n increases with n and converges to ||mu - nu||_TV (on the [0, 2] scale
 for probability measures).  A solve with ``certify=True`` also yields a
 dual sum-of-squares certificate that can be verified independently (it
-turns the kernel reduction off), and when the optimal
-pseudo-moments are flat their atomic representatives (the numerical
-Hahn-Jordan pair) can be extracted.
+turns the kernel reduction off), and when the optimal pseudo-moments are
+flat their atomic representatives (the numerical Hahn-Jordan pair) can be
+extracted.
+
+One settings object drives a solve: ``HierarchySettings`` is the conic
+solver's ``SolverSettings`` with the hierarchy's defaults, plus
+``kernel_reduce`` and ``certify``.  One record reports it: each level's
+``HierarchyResult.solve`` is the solver's ``SolveResult``, which holds the
+residuals, the gap, the iteration count and why the solve stopped.
 
 Typical use:
 
     from tvbound import Gaussian, solve_hierarchy
     sweep = solve_hierarchy(Gaussian(0.0, 0.1), Gaussian(1.0, 0.1), [1, 2, 3, 4])
     for level in sweep:
-        print(level.level, level.rho)
+        print(level.level, level.rho, level.solve.gap)
 """
 
 from .errors import (
@@ -31,7 +37,7 @@ from .errors import (
     UnsupportedDimension,
 )
 from .indexing import MonomialBasis, basis_indices, basis_size
-from .moments import MomentSequence, moment_matrix, poly_from_gram, riesz
+from .moments import MomentSequence, moment_matrix, poly_from_gram
 from .measures import (
     Atomic,
     AtomicMeasure,
@@ -40,7 +46,6 @@ from .measures import (
     Gaussian,
     MeasureSpec,
     Mixture,
-    empirical_moments,
     exact_tv_atomic,
     exact_tv_univariate_density,
     moments,
@@ -52,7 +57,6 @@ from .conic import (
     SolveResult,
     SolveStatus,
     SolverSettings,
-    dump_program,
     solve,
 )
 from .relaxation import (
@@ -115,8 +119,6 @@ __all__ = [
     "assemble",
     "basis_indices",
     "basis_size",
-    "dump_program",
-    "empirical_moments",
     "exact_tv_atomic",
     "exact_tv_univariate_density",
     "extract_atoms",
@@ -132,7 +134,6 @@ __all__ = [
     "poly_from_gram",
     "recover_certificate",
     "recover_hahn_jordan",
-    "riesz",
     "sample",
     "solve",
     "solve_hierarchy",

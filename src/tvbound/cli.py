@@ -2,7 +2,7 @@
 
 Subcommands:
     bound    hierarchy sweep, one row per level (rho_n, dual value, gap, ...)
-    exact    exact / quadrature TV oracle for atomic or density specs
+    exact    exact / quadrature TV oracle for atomic, empirical or density specs
     extract  atomic Hahn-Jordan pair from the optimal pseudo-moments
     moments  dump the truncated moment sequences of both measures
     certify  recover, verify and dump the dual SOS certificate
@@ -189,11 +189,11 @@ def cmd_bound(cfg: RunConfig) -> int:
             "n": res.level,
             "rho_n": _scale_out(res.rho, cfg),
             "dual_value": _scale_out(res.solve.dual_objective, cfg),
-            "gap": res.gap,
+            "gap": res.solve.gap,
             "status": res.status.value,
             "wall_ms": res.wall_ms,
-            "primal_residual": res.primal_residual,
-            "dual_residual": res.dual_residual,
+            "primal_residual": res.solve.primal_residual,
+            "dual_residual": res.solve.dual_residual,
             "iterations": res.solve.iterations,
             "stop_reason": res.solve.stop_reason,
             "untrusted": res.status != SolveStatus.OPTIMAL,
@@ -218,9 +218,17 @@ def cmd_bound(cfg: RunConfig) -> int:
     return EXIT_SOLVER if any(r["untrusted"] for r in rows) else EXIT_OK
 
 
+def _as_atomic(spec: MeasureSpec) -> MeasureSpec:
+    """An empirical spec as its N atoms of weight 1/N; any other as it is."""
+    if isinstance(spec, Empirical):
+        return Atomic(spec.samples, np.full(len(spec.samples), 1.0 / len(spec.samples)))
+    return spec
+
+
 def cmd_exact(cfg: RunConfig) -> int:
-    if isinstance(cfg.mu, Atomic) and isinstance(cfg.nu, Atomic):
-        tv = exact_tv_atomic(cfg.mu, cfg.nu)
+    mu, nu = _as_atomic(cfg.mu), _as_atomic(cfg.nu)
+    if isinstance(mu, Atomic) and isinstance(nu, Atomic):
+        tv = exact_tv_atomic(mu, nu)
         method = "atomic"
     else:
         try:

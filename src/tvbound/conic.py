@@ -10,7 +10,7 @@ Everything is dense: the target problems have a handful of blocks of size
 ``solve`` stacks the blocks of equal order once: each group holds its F_k0 as
 one (g, s, s) array and its F_ki as one (m, g, s, s) array.  Every program
 with a variable goes through one cone-only core on these stacks, a
-Nesterov-Todd scaled predictor-corrector method, and every exit scatters the
+Nesterov-Todd scaled predictor-corrector method, and ``solve`` scatters the
 duals back to input block order and shape.  The solver restricts nothing to
 a face: no block may have a constant kernel (see ``solve``).  In the core
 the affine map, its adjoint, the dual projection and the Schur complement
@@ -26,7 +26,6 @@ bit-identical outputs.
 from __future__ import annotations
 
 import enum
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,7 +125,8 @@ class SolverSettings:
 
 @dataclass(frozen=True, eq=False)
 class SolveResult:
-    """Outcome of a conic solve.
+    """Outcome of a conic solve, built by ``solve`` from the record of the
+    best iterate; a hierarchy level carries it as ``HierarchyResult.solve``.
 
     On OPTIMAL the reported primal residual, dual residual and gap are all at
     or below the acceptance tolerance ``SolverSettings.accept``, which may be
@@ -241,11 +241,11 @@ def _solve_cone(c, f0, coeffs, settings: SolverSettings):
 
     Takes the blocks as ``solve`` stacks them (see the module docstring),
     with at least one variable and, by the precondition of ``solve``, no
-    constant kernel, and returns the duals as the same stacks, which
-    ``solve`` scatters back to input block order.  The gap score is the
-    larger of <S, Z> and |pobj - dobj|: the latter also carries
-    <rp, Z> + rd.x, so a dual objective that runs off while the residuals
-    look small does not pass.
+    constant kernel.  Returns the status, the stop reason, the record of the
+    best iterate (its duals ``Z`` as the same stacks) and the iteration
+    count.  The gap score is the larger of <S, Z> and |pobj - dobj|: the
+    latter also carries <rp, Z> + rd.x, so a dual objective that runs off
+    while the residuals look small does not pass.
 
     The strict Cholesky factors of the cone check that accepted S and Z
     (symmetrized before it, so they are the iterate's own) are the next
@@ -332,7 +332,9 @@ def _solve_cone(c, f0, coeffs, settings: SolverSettings):
     Ls = [np.tile(np.sqrt(eta) * np.eye(f.shape[1]), (f.shape[0], 1, 1)) for f in f0]
     Rs = Ls
 
-    best = None
+    # the best iterate so far, first a zero point that any finite score beats
+    best = {"score": np.inf, "x": x, "Z": [np.zeros_like(f) for f in f0], "pobj": 0.0,
+            "dobj": 0.0, "pres": np.inf, "dres": np.inf, "relgap": np.inf}
     status, reason = SolveStatus.MAX_ITER, "max_iter"
     score_history = []
 
@@ -361,7 +363,7 @@ def _solve_cone(c, f0, coeffs, settings: SolverSettings):
         if not np.isfinite(score):
             status, reason = SolveStatus.NUMERICAL_FAILURE, "numerical"
             break
-        if best is None or score < best["score"]:
+        if score < best["score"]:
             best = snap
         score_history.append(best["score"])
         if score <= settings.tol:
@@ -489,18 +491,13 @@ def _solve_cone(c, f0, coeffs, settings: SolverSettings):
         # max_iter exhausted: account for the final step before reporting
         iters_done = settings.max_iter
         *_, snap = evaluate(x, S, Z)
-        if np.isfinite(snap["score"]) and (best is None or snap["score"] < best["score"]):
+        if snap["score"] < best["score"]:
             best = snap
 
-    if best is not None and status in (SolveStatus.MAX_ITER, SolveStatus.NUMERICAL_FAILURE):
+    if status in (SolveStatus.MAX_ITER, SolveStatus.NUMERICAL_FAILURE):
         if best["score"] <= settings.accept:
             status = SolveStatus.OPTIMAL
-
-    if best is None:
-        return (SolveStatus.NUMERICAL_FAILURE, reason, np.zeros(m),
-                [np.zeros_like(f) for f in f0], 0.0, 0.0, np.inf, np.inf, np.inf, iters_done)
-    return (status, reason, best["x"], best["Z"], best["pobj"], best["dobj"],
-            best["pres"], best["dres"], best["relgap"], iters_done)
+    return status, reason, best, iters_done
 
 
 def solve(program: ConicProgram, settings: SolverSettings | None = None) -> SolveResult:
@@ -514,7 +511,8 @@ def solve(program: ConicProgram, settings: SolverSettings | None = None) -> Solv
 
     The blocks are stacked by order here, once per solve.  A program with no
     variable has the one point F_0, which is tested directly; any other runs
-    ``_solve_cone``.  Every exit scatters its duals back with ``_scatter``.
+    ``_solve_cone``.  Either way one iterate record comes out, and it is
+    turned into the result here, its duals scattered back with ``_scatter``.
 
     Precondition: when the program has a variable, no block may have a
     constant kernel, a vector that F_k0 and every F_ki annihilate.  Such a
@@ -522,59 +520,16 @@ def solve(program: ConicProgram, settings: SolverSettings | None = None) -> Solv
     restrict the program to the face first, as ``relaxation.assemble`` does.
     """
     settings = settings or SolverSettings()
-    offset = program.offset
     positions, f0, coeffs = _group(program.blocks)
     if program.n_vars == 0:
         lam = min(float(np.linalg.eigvalsh(f)[:, 0].min()) for f in f0)
         status = SolveStatus.OPTIMAL if lam >= -1e-8 * _data_scale(f0) else SolveStatus.INFEASIBLE
-        zero_duals = _scatter(positions, [np.zeros_like(f) for f in f0])
-        return SolveResult(status, np.zeros(0), offset, offset, zero_duals,
-                           max(0.0, -lam), 0.0, 0.0, 0, "pinned_point")
+        reason, iters = "pinned_point", 0
+        best = {"x": np.zeros(0), "Z": [np.zeros_like(f) for f in f0], "pobj": 0.0,
+                "dobj": 0.0, "pres": max(0.0, -lam), "dres": 0.0, "relgap": 0.0}
+    else:
+        status, reason, best, iters = _solve_cone(program.c, f0, coeffs, settings)
+    return SolveResult(status, best["x"], best["pobj"] + program.offset,
+                       best["dobj"] + program.offset, _scatter(positions, best["Z"]),
+                       best["pres"], best["dres"], best["relgap"], iters, reason)
 
-    status, reason, x, duals, pobj, dobj, pres, dres, gap, iters = _solve_cone(
-        program.c, f0, coeffs, settings)
-    return SolveResult(status, x, pobj + offset, dobj + offset, _scatter(positions, duals),
-                       pres, dres, gap, iters, reason)
-
-
-def dump_program(program: ConicProgram, stream=None) -> str:
-    """Plain-text sparse dump for cross-checking against external solvers.
-
-    Format (one entry per line, zero-based indices):
-
-        nvars <m>
-        nblocks <K>
-        blocksize <k> <s_k>
-        offset <value>
-        c <i> <value>                  # nonzero objective entries
-        f <matno> <block> <i> <j> <value>
-                                       # matno 0 encodes F_k0, matno t >= 1
-                                       # encodes the coefficient of x_{t-1};
-                                       # upper triangle only
-
-    Returns the text; also writes it to ``stream`` when given.
-    """
-    out = io.StringIO()
-    out.write(f"nvars {program.n_vars}\n")
-    out.write(f"nblocks {len(program.blocks)}\n")
-    for k, blk in enumerate(program.blocks):
-        out.write(f"blocksize {k} {blk.size}\n")
-    out.write(f"offset {float(program.offset)!r}\n")
-    for i, v in enumerate(program.c):
-        if v != 0.0:
-            out.write(f"c {i} {float(v)!r}\n")
-    for k, blk in enumerate(program.blocks):
-        s = blk.size
-        for i in range(s):
-            for j in range(i, s):
-                if blk.f0[i, j] != 0.0:
-                    out.write(f"f 0 {k} {i} {j} {float(blk.f0[i, j])!r}\n")
-        for t in range(program.n_vars):
-            for i in range(s):
-                for j in range(i, s):
-                    if blk.coeffs[t, i, j] != 0.0:
-                        out.write(f"f {t + 1} {k} {i} {j} {float(blk.coeffs[t, i, j])!r}\n")
-    text = out.getvalue()
-    if stream is not None:
-        stream.write(text)
-    return text

@@ -21,6 +21,8 @@ from .moments import MomentSequence, moment_matrix, power_sums
 from .relaxation import HierarchyResult
 
 DEFAULT_RANK_TOL = 1e-6
+# largest relative moment error of an extracted Hahn-Jordan pair
+_MATCH_TOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -151,27 +153,24 @@ def _newton_polish(points, weights, target, steps: int = 6):
     return best
 
 
-def recover_hahn_jordan(
-    result: HierarchyResult,
-    rank_tol: float = DEFAULT_RANK_TOL,
-    match_tol: float = 1e-5,
-) -> tuple[AtomicMeasure, AtomicMeasure]:
+def recover_hahn_jordan(result: HierarchyResult) -> tuple[AtomicMeasure, AtomicMeasure]:
     """Extract the (phi, psi) atomic pair from a solved level when both
     pseudo-moment matrices are flat.
 
     Extraction runs in the solver's rescaled coordinates (numerically
     flatter) and atom locations are mapped back.  The difference of the
     reconstructed measures must match mu - nu on all moments to degree 2n
-    within ``match_tol``; NotFlat is the expected outcome for inputs with
-    densities and does not invalidate the bound rho_n.
+    within ``_MATCH_TOL``; ranks are cut at ``DEFAULT_RANK_TOL``.  NotFlat
+    is the expected outcome for inputs with densities and does not
+    invalidate the bound rho_n.
     """
     if result.phi.dim != 1:
         raise UnsupportedDimension("atom extraction is univariate")
     if result.status != SolveStatus.OPTIMAL:
         raise ValueError("extraction needs an Optimal solve")
     n = result.level
-    plus_s = extract_atoms(result.phi_solver, n, rank_tol, recon_tol=match_tol)
-    minus_s = extract_atoms(result.psi_solver, n, rank_tol, recon_tol=match_tol)
+    plus_s = extract_atoms(result.phi_solver, n, recon_tol=_MATCH_TOL)
+    minus_s = extract_atoms(result.psi_solver, n, recon_tol=_MATCH_TOL)
     plus = AtomicMeasure(
         result.var_map.points_from_solver(plus_s.points), plus_s.weights
     )
@@ -184,7 +183,7 @@ def recover_hahn_jordan(
              - power_sums(minus.points, minus.weights, 2 * n))
     scale = max(1.0, float(np.max(np.abs(diff))))
     err = float(np.max(np.abs(recon - diff))) / scale
-    if err > match_tol:
+    if err > _MATCH_TOL:
         raise IllConditioned(
             f"extracted pair misses mu - nu moments by {err:.3e}"
         )

@@ -60,9 +60,6 @@ class MonomialBasis:
         """Position of ``alpha`` in the basis ordering."""
         return self._position[tuple(alpha)]
 
-    def alpha_of(self, i: int) -> MultiIndex:
-        return self.indices[i]
-
     def __contains__(self, alpha) -> bool:
         return tuple(alpha) in self._position
 

@@ -191,10 +191,6 @@ class AtomicMeasure:
             raise UnsupportedDimension("points1d requires dimension 1")
         return self.points[:, 0]
 
-    def to_spec(self) -> Atomic:
-        keep = self.weights > 0
-        return Atomic(self.points[keep], self.weights[keep])
-
 
 def _gaussian_moments_1d(mean: float, std: float, max_degree: int) -> np.ndarray:
     # two-term recurrence M_k = mean*M_{k-1} + (k-1)*std^2*M_{k-2}
@@ -211,7 +207,8 @@ def moments(spec: MeasureSpec, d: int, max_degree: int) -> MomentSequence:
     """Exact truncated moments of ``spec`` up to ``max_degree``.
 
     Gaussian and exponential moments are closed-form and univariate only;
-    atomic and empirical moments are weighted power sums in any dimension;
+    atomic and empirical moments are weighted power sums in any dimension
+    (a sample of N points has weights 1/N and mass exactly 1);
     mixtures combine component moments convexly.
     """
     if spec.dim != d:
@@ -233,19 +230,11 @@ def moments(spec: MeasureSpec, d: int, max_degree: int) -> MomentSequence:
         vals = sum(w * moments(comp, d, max_degree).values for w, comp in spec.components)
         return MomentSequence(d, max_degree, vals)
     if isinstance(spec, Empirical):
-        return empirical_moments(spec.samples, max_degree)
+        count = spec.samples.shape[0]
+        vals = power_sums(spec.samples, np.full(count, 1.0 / count), max_degree)
+        vals[0] = 1.0
+        return MomentSequence(d, max_degree, vals)
     raise TypeError(f"unknown measure spec {type(spec).__name__}")
-
-
-def empirical_moments(samples, max_degree: int) -> MomentSequence:
-    """Sample averages of monomials up to ``max_degree``; mass is exactly 1."""
-    s = np.atleast_2d(np.asarray(samples, dtype=float))
-    if s.size == 0:
-        raise EmptySample("cannot form empirical moments from an empty sample")
-    n, d = s.shape
-    vals = power_sums(s, np.full(n, 1.0 / n), max_degree)
-    vals[0] = 1.0
-    return MomentSequence(d, max_degree, vals)
 
 
 def sample(spec: MeasureSpec, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -356,19 +345,20 @@ def _leaf_tail_mass(leaf: MeasureSpec, lo: float, hi: float) -> float:
     return (1.0 - math.exp(-leaf.rate * lo)) + math.exp(-leaf.rate * hi)
 
 
-def exact_tv_univariate_density(
-    mu: MeasureSpec,
-    nu: MeasureSpec,
-    abs_tol: float = 1e-6,
-    scan_points: int = 4001,
-) -> float:
+# quadrature error budget of exact_tv_univariate_density, and the number of
+# grid points on which it scans the density difference for sign changes
+_QUAD_ABS_TOL = 1e-6
+_SCAN_POINTS = 4001
+
+
+def exact_tv_univariate_density(mu: MeasureSpec, nu: MeasureSpec) -> float:
     """Quadrature value of integral |f_mu - f_nu| over R on the [0, 2] scale.
 
     Both specs must have univariate densities (gaussian, exponential, or
     mixtures of those).  The difference of densities is scanned for sign
     changes on a common window, the integral is taken piecewise between the
     located roots, and the neglected tail mass is accounted for in the error
-    budget.  Raises QuadratureNonConvergent if the budget exceeds ``abs_tol``.
+    budget.  Raises QuadratureNonConvergent if the budget exceeds ``_QUAD_ABS_TOL``.
     """
     terms_mu = _density_terms(mu)
     terms_nu = _density_terms(nu)
@@ -393,7 +383,7 @@ def exact_tv_univariate_density(
     if any(isinstance(leaf, Exponential) for _, leaf in terms_mu + terms_nu):
         if lo < 0.0 < hi:
             breakpoints.add(0.0)
-    grid = np.linspace(lo, hi, scan_points)
+    grid = np.linspace(lo, hi, _SCAN_POINTS)
     vals = diff(grid)
     signs = np.sign(vals)
     nonzero = np.flatnonzero(signs)
@@ -417,8 +407,8 @@ def exact_tv_univariate_density(
     tail = sum(w * _leaf_tail_mass(leaf, lo, hi) for w, leaf in terms_mu)
     tail += sum(w * _leaf_tail_mass(leaf, lo, hi) for w, leaf in terms_nu)
     err += tail
-    if err > abs_tol:
+    if err > _QUAD_ABS_TOL:
         raise QuadratureNonConvergent(
-            f"estimated quadrature error {err:.3e} exceeds tolerance {abs_tol:.3e}"
+            f"estimated quadrature error {err:.3e} exceeds tolerance {_QUAD_ABS_TOL:.3e}"
         )
     return float(total)

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from typing import Mapping
 
 import numpy as np
 
@@ -54,20 +53,6 @@ class MomentSequence:
     def mass(self) -> float:
         """Value at alpha = 0, the total mass of the (pseudo-)measure."""
         return float(self.values[0])
-
-    @classmethod
-    def from_mapping(cls, d: int, max_degree: int, mapping: Mapping) -> "MomentSequence":
-        basis = basis_indices(d, max_degree)
-        vals = np.zeros(len(basis))
-        seen = np.zeros(len(basis), dtype=bool)
-        for alpha, v in mapping.items():
-            i = basis.index_of(normalize_index(alpha, d))
-            vals[i] = float(v)
-            seen[i] = True
-        if not seen.all():
-            missing = basis.alpha_of(int(np.flatnonzero(~seen)[0]))
-            raise ValueError(f"moment for {missing} missing from mapping")
-        return cls(d, max_degree, vals)
 
     def __getitem__(self, alpha) -> float:
         alpha = normalize_index(alpha, self.dim)
@@ -176,20 +161,6 @@ def power_sums(points: np.ndarray, weights: np.ndarray, max_degree: int) -> np.n
         powers = np.vander(points[:, j], max_degree + 1, increasing=True).T
         terms = terms * powers[exps[:, j]]
     return terms.sum(axis=1)
-
-
-def riesz(seq: MomentSequence, poly: Mapping) -> float:
-    """Riesz functional: sum of p_alpha * seq[alpha] over the polynomial's
-    coefficient map."""
-    total = 0.0
-    for alpha, coeff in poly.items():
-        alpha = normalize_index(alpha, seq.dim)
-        if sum(alpha) > seq.max_degree:
-            raise DegreeTooLow(
-                f"polynomial term {alpha} exceeds sequence degree {seq.max_degree}"
-            )
-        total += float(coeff) * seq.values[seq.basis.index_of(alpha)]
-    return float(total)
 
 
 def riesz_vector(seq: MomentSequence, coeffs: np.ndarray, degree: int) -> float:

@@ -299,29 +299,25 @@ def assemble(
 
 
 @dataclass(frozen=True)
-class HierarchySettings:
-    """Knobs for a hierarchy solve.
+class HierarchySettings(SolverSettings):
+    """Knobs for a hierarchy solve: the solver's, with the hierarchy's
+    defaults, plus two of its own.  ``solve_level`` hands the object to
+    ``conic.solve`` as it is.
 
-    ``certify`` recovers a dual SOS certificate per level; it disables the
-    kernel reduction because certificate recovery maps raw block multipliers
-    and must see the uncompressed blocks.  ``accept_tol`` is the accuracy at
-    which a solve still counts as Optimal when the target ``tol`` turns out
-    to be unreachable (nearly singular data); achieved tolerances are always
-    reported.  The change of variables is not a setting: every solve runs
-    in the frame of ``variable_map_for`` unless ``solve_level`` is given
-    another ``VariableMap``, such as the identity ``VariableMap()``.
+    ``accept_tol`` is the accuracy at which a solve still counts as Optimal
+    when the target ``tol`` turns out to be unreachable (nearly singular
+    data); achieved tolerances are always reported.  ``certify`` recovers a
+    dual SOS certificate per level; it disables the kernel reduction because
+    certificate recovery maps raw block multipliers and must see the
+    uncompressed blocks.  The change of variables is not a setting: every
+    solve runs in the frame of ``variable_map_for`` unless ``solve_level``
+    is given another ``VariableMap``, such as the identity ``VariableMap()``.
     """
 
-    tol: float = 1e-8
     max_iter: int = 250
     accept_tol: float = 1e-4
     kernel_reduce: bool = True
     certify: bool = False
-
-    def solver_settings(self) -> SolverSettings:
-        return SolverSettings(
-            tol=self.tol, max_iter=self.max_iter, accept_tol=self.accept_tol
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -356,18 +352,6 @@ class HierarchyResult:
     psi_solver: MomentSequence = None
     certificate: object = None
 
-    @property
-    def gap(self) -> float:
-        return self.solve.gap
-
-    @property
-    def primal_residual(self) -> float:
-        return self.solve.primal_residual
-
-    @property
-    def dual_residual(self) -> float:
-        return self.solve.dual_residual
-
 
 def solve_level(
     mu: MomentSequence,
@@ -395,7 +379,7 @@ def solve_level(
     problem = assemble(mu_s, nu_s, n, kernel_reduce=reduce)
 
     start = time.perf_counter()
-    res = conic.solve(problem.program, settings.solver_settings())
+    res = conic.solve(problem.program, settings)
     wall_ms = (time.perf_counter() - start) * 1e3
 
     x = res.x if problem.null_basis is None else problem.x0 + problem.null_basis @ res.x

@@ -166,6 +166,23 @@ def test_exact_no_oracle_applies(tmp_path, capsys):
     assert code == 3
 
 
+
+@pytest.mark.parametrize("nu", [
+    {"type": "atomic", "atoms": [{"point": 0.0, "weight": 1.0}]},
+    {"type": "empirical", "samples": [[0.0]]},
+])
+def test_exact_empirical_is_atomic(tmp_path, capsys, nu):
+    # a sample of N points is atomic, each point of weight 1/N
+    cfg = {
+        "version": 1,
+        "mu": {"type": "empirical", "samples": [[0.0], [1.0]]},
+        "nu": nu,
+        "format": "json",
+    }
+    code = main(["exact", "--config", write_config(tmp_path, cfg)])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out) == {"tv": 1.0, "method": "atomic"}
+
 def test_extract_dirac_pair(tmp_path, capsys):
     cfg = dict(DELTA, format="json")
     code = main(["extract", "--config", write_config(tmp_path, cfg)])

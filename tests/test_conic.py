@@ -6,7 +6,6 @@ from tvbound.conic import (
     PsdBlock,
     SolveStatus,
     SolverSettings,
-    dump_program,
     solve,
 )
 from tvbound.measures import Atomic, Gaussian, moments
@@ -77,7 +76,7 @@ def test_degenerate_gaussian_level4_stays_dual_feasible():
     # and a dual step taken from the NT formula alone drifts off dual
     # feasibility (dres of order 1) by an amount that depends on the BLAS
     # kernel's rounding
-    settings = HierarchySettings().solver_settings()
+    settings = HierarchySettings()
     mu = moments(Gaussian(0.0, 0.1), 1, 8)
     nu = moments(Gaussian(1.0, 0.5), 1, 8)
     var_map = variable_map_for(mu, nu, 4)
@@ -307,23 +306,6 @@ def test_infeasible_two_variables():
     )
     assert res.status in (SolveStatus.INFEASIBLE, SolveStatus.NUMERICAL_FAILURE)
     assert res.status != SolveStatus.OPTIMAL
-
-
-def test_dump_program_format():
-    prog = arithmetic_geometric_program()
-    text = dump_program(prog)
-    lines = text.strip().splitlines()
-    assert lines[0] == "nvars 2"
-    assert lines[1] == "nblocks 1"
-    assert "blocksize 0 2" in lines
-    entries = [ln for ln in lines if ln.startswith("f ")]
-    # F0 has one upper-triangle nonzero, each coefficient matrix one entry
-    assert len(entries) == 3
-    for ln in entries:
-        parts = ln.split()
-        assert len(parts) == 6
-        float(parts[5])
-    assert dump_program(prog) == text  # deterministic
 
 
 def test_program_validation():

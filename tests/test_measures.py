@@ -8,10 +8,10 @@ from tvbound.errors import DimensionMismatch, EmptySample
 from tvbound.measures import (
     Atomic,
     AtomicMeasure,
+    Empirical,
     Exponential,
     Gaussian,
     Mixture,
-    empirical_moments,
     exact_tv_atomic,
     exact_tv_univariate_density,
     moments,
@@ -82,18 +82,18 @@ def test_atomic_multivariate_moments():
 
 
 def test_empirical_moments_examples():
-    assert np.allclose(empirical_moments(np.zeros((5, 1)), 2).values, (1, 0, 0))
+    assert np.allclose(moments(Empirical(np.zeros((5, 1))), 1, 2).values, (1, 0, 0))
     assert np.allclose(
-        empirical_moments(np.array([[-1.0], [1.0]]), 2).values, (1, 0, 1)
+        moments(Empirical(np.array([[-1.0], [1.0]])), 1, 2).values, (1, 0, 1)
     )
     with pytest.raises(EmptySample):
-        empirical_moments(np.zeros((0, 1)), 2)
+        Empirical(np.zeros((0, 1)))
 
 
 def test_empirical_slln_second_moment():
     rng = np.random.default_rng(314159)
     draws = rng.standard_normal((1_000_000, 1))
-    seq = empirical_moments(draws, 2)
+    seq = moments(Empirical(draws), 1, 2)
     assert seq.mass == 1.0
     assert abs(seq[2] - 1.0) < 5e-3
 
@@ -190,9 +190,3 @@ def test_atomic_spec_validation():
         Atomic.univariate([0.0], [0.0])
     with pytest.raises(ValueError):
         Atomic.univariate([0.0, 1.0], [1.0])
-
-
-def test_atomic_measure_roundtrip_to_spec():
-    m = AtomicMeasure(np.array([0.0, 1.0]), np.array([0.5, 0.0]))
-    spec = m.to_spec()
-    assert len(spec.weights) == 1

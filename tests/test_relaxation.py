@@ -397,6 +397,27 @@ def test_solver_failure_carries_result(monkeypatch):
     assert np.isnan(info.value.result.rho)
 
 
+
+def test_solve_level_passes_its_settings_to_the_solver(monkeypatch):
+    # one settings object: conic.solve receives the caller's own
+    # HierarchySettings, with the hierarchy's defaults
+    from tvbound import relaxation as relax_mod
+
+    received = []
+    original = relax_mod.conic.solve
+
+    def spy(program, settings=None):
+        received.append(settings)
+        return original(program, settings)
+
+    monkeypatch.setattr(relax_mod.conic, "solve", spy)
+    settings = HierarchySettings()
+    mu, nu = gaussian_pair(0, 0.5, 1, 0.5, 2)
+    solve_level(mu, nu, 1, settings)
+    assert len(received) == 1 and received[0] is settings
+    assert received[0].accept == 1e-4
+    assert received[0].max_iter == 250
+
 def test_monotone_within_helper():
     class Dummy:
         def __init__(self, rho, status=SolveStatus.OPTIMAL):
