@@ -32,7 +32,6 @@ from .errors import (
     IllConditioned,
     NotFlat,
     QuadratureNonConvergent,
-    SolverFailure,
     TvBoundError,
     UnsupportedDimension,
 )
@@ -40,7 +39,6 @@ from .indexing import MonomialBasis, basis_indices, basis_size
 from .moments import MomentSequence, moment_matrix, poly_from_gram
 from .measures import (
     Atomic,
-    AtomicMeasure,
     Empirical,
     Exponential,
     Gaussian,
@@ -86,7 +84,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Atomic",
-    "AtomicMeasure",
     "CertificateMismatch",
     "ConicProgram",
     "DegreeTooLow",
@@ -111,7 +108,6 @@ __all__ = [
     "RelaxationProblem",
     "SolveResult",
     "SolveStatus",
-    "SolverFailure",
     "SolverSettings",
     "TvBoundError",
     "UnsupportedDimension",

@@ -20,8 +20,10 @@ MeasureSpec variants:
 An empirical measure is either {"type": "empirical", "samples": [...]} or
 {"type": "empirical", "source": {...spec...}, "count": N}; the latter draws
 the sample with the config seed.  "levels" is an "A..B" range, one level,
-or a list of the literal levels.  A "scale" field, which older configs
-carry, must be true: every solve recenters and rescales the variable.
+or a list of the literal levels.  Each "solver" key is optional and has
+the default of ``HierarchySettings``; an unknown key is refused.  A "scale"
+field, which older configs carry, must be true: every solve recenters and
+rescales the variable.
 Flags override config fields.  Exit codes: 0 success, 2 solver failure,
 3 invalid configuration.
 """
@@ -118,6 +120,25 @@ def parse_levels(obj) -> list[int]:
     raise ConfigError(f"cannot parse levels from {obj!r}")
 
 
+# the "solver" keys of a config, each with its type
+_SOLVER_KEYS = {"tol": float, "max_iter": int, "accept_tol": float}
+
+
+def _parse_settings(solver, tol) -> HierarchySettings:
+    """Settings from the config's "solver" object and the --tol flag; a key
+    that neither gives keeps its ``HierarchySettings`` default."""
+    if not isinstance(solver, dict):
+        raise ConfigError(f"'solver' must be an object: {solver!r}")
+    unknown = sorted(set(solver) - set(_SOLVER_KEYS))
+    if unknown:
+        raise ConfigError(f"unknown solver keys {unknown}; known: {sorted(_SOLVER_KEYS)}")
+    given = dict(solver) if tol is None else dict(solver, tol=tol)
+    try:
+        return HierarchySettings(**{key: _SOLVER_KEYS[key](v) for key, v in given.items()})
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad solver settings: {exc}") from exc
+
+
 @dataclass
 class RunConfig:
     mu: MeasureSpec
@@ -137,10 +158,15 @@ def load_config(args) -> RunConfig:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be a JSON object")
     version = raw.get("version", 1)
     if version != 1:
         raise ConfigError(f"unsupported config version {version}")
-    seed = int(args.seed if args.seed is not None else raw.get("seed", 0))
+    try:
+        seed = int(args.seed if args.seed is not None else raw.get("seed", 0))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad seed: {exc}") from exc
     rng = np.random.default_rng(seed)
     if "mu" not in raw or "nu" not in raw:
         raise ConfigError("config needs 'mu' and 'nu' measures")
@@ -151,18 +177,14 @@ def load_config(args) -> RunConfig:
         raise ConfigError(f"levels must be positive: {levels}")
     if raw.get("scale", True) is not True:
         raise ConfigError("'scale' can only be true: every solve recenters and rescales")
-    solver = raw.get("solver", {})
-    settings = HierarchySettings(
-        tol=float(args.tol if args.tol is not None else solver.get("tol", 1e-8)),
-        max_iter=int(solver.get("max_iter", 250)),
-        accept_tol=float(solver.get("accept_tol", 1e-4)),
-    )
+    settings = _parse_settings(raw.get("solver", {}), args.tol)
     fmt = args.format or raw.get("format", "pretty")
     if fmt not in ("csv", "json", "pretty"):
         raise ConfigError(f"unknown format {fmt!r}")
     normalized = args.normalized or bool(raw.get("normalized", False))
-    _warn_if_undersampled(mu, "mu", levels)
-    _warn_if_undersampled(nu, "nu", levels)
+    if args.command != "exact":  # the exact oracles read no moments
+        _warn_if_undersampled(mu, "mu", levels)
+        _warn_if_undersampled(nu, "nu", levels)
     return RunConfig(mu, nu, levels, settings, fmt, seed, normalized)
 
 

@@ -25,19 +25,6 @@ class QuadratureNonConvergent(TvBoundError):
     """Adaptive quadrature could not reach the requested tolerance."""
 
 
-class SolverFailure(TvBoundError):
-    """A conic solve did not end with an Optimal status.
-
-    Carries the solver status and, when available, the final iterate so
-    callers can inspect what went wrong.
-    """
-
-    def __init__(self, message, status=None, result=None):
-        super().__init__(message)
-        self.status = status
-        self.result = result
-
-
 class CertificateMismatch(TvBoundError):
     """A dual certificate violates one of its defining identities."""
 

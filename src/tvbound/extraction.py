@@ -16,7 +16,7 @@ import numpy as np
 
 from .conic import SolveStatus
 from .errors import DegreeTooLow, IllConditioned, NotFlat, UnsupportedDimension
-from .measures import AtomicMeasure
+from .measures import Atomic
 from .moments import MomentSequence, moment_matrix, power_sums
 from .relaxation import HierarchyResult
 
@@ -69,12 +69,13 @@ def extract_atoms(
     n: int,
     rank_tol: float = DEFAULT_RANK_TOL,
     recon_tol: float = 1e-6,
-) -> AtomicMeasure:
+) -> Atomic:
     """Extract the atomic measure behind a flat univariate sequence.
 
     Atom locations are the eigenvalues of the shift operator built from the
     rank-r eigendecomposition of M_n; weights solve the r x r Vandermonde
-    system against moments 0..r-1.  The reconstruction must reproduce the
+    system against moments 0..r-1, and a Gauss-Newton polish refines both.
+    Every weight must be positive and the reconstruction must reproduce the
     input moments to ``recon_tol`` (relative), otherwise IllConditioned is
     raised.  A flat rank of zero yields the empty measure.
     """
@@ -83,7 +84,7 @@ def extract_atoms(
         raise NotFlat(f"ranks {report.ranks} do not stabilize at order {n}")
     r = report.flat_rank
     if r == 0:
-        return AtomicMeasure(np.zeros((0, 1)), np.zeros(0))
+        return Atomic(np.zeros((0, 1)), np.zeros(0))
 
     eigvals, eigvecs = np.linalg.eigh(moment_matrix(seq, n))
     lead = eigvals[-r:]
@@ -108,8 +109,8 @@ def extract_atoms(
         raise IllConditioned(f"singular Vandermonde system: {exc}") from exc
 
     points, weights = _newton_polish(points, weights, seq.values)
-    if np.min(weights) < -10.0 * rank_tol:
-        raise IllConditioned(f"extracted weight {np.min(weights):.3e} is negative")
+    if np.min(weights) <= 0:
+        raise IllConditioned(f"extracted weight {np.min(weights):.3e} is not positive")
 
     recon = power_sums(points[:, None], weights, 2 * n)
     scale = max(1.0, float(np.max(np.abs(seq.values))))
@@ -119,7 +120,7 @@ def extract_atoms(
             f"reconstructed moments deviate by {err:.3e} (tol {recon_tol:.1e})"
         )
     order = np.argsort(points)
-    return AtomicMeasure(points[order].reshape(-1, 1), weights[order])
+    return Atomic(points[order].reshape(-1, 1), weights[order])
 
 
 def _newton_polish(points, weights, target, steps: int = 6):
@@ -153,9 +154,9 @@ def _newton_polish(points, weights, target, steps: int = 6):
     return best
 
 
-def recover_hahn_jordan(result: HierarchyResult) -> tuple[AtomicMeasure, AtomicMeasure]:
+def recover_hahn_jordan(result: HierarchyResult) -> tuple[Atomic, Atomic]:
     """Extract the (phi, psi) atomic pair from a solved level when both
-    pseudo-moment matrices are flat.
+    pseudo-moment matrices are flat, as two ``Atomic`` measures.
 
     Extraction runs in the solver's rescaled coordinates (numerically
     flatter) and atom locations are mapped back.  The difference of the
@@ -171,12 +172,8 @@ def recover_hahn_jordan(result: HierarchyResult) -> tuple[AtomicMeasure, AtomicM
     n = result.level
     plus_s = extract_atoms(result.phi_solver, n, recon_tol=_MATCH_TOL)
     minus_s = extract_atoms(result.psi_solver, n, recon_tol=_MATCH_TOL)
-    plus = AtomicMeasure(
-        result.var_map.points_from_solver(plus_s.points), plus_s.weights
-    )
-    minus = AtomicMeasure(
-        result.var_map.points_from_solver(minus_s.points), minus_s.weights
-    )
+    plus = Atomic(result.var_map.points_from_solver(plus_s.points), plus_s.weights)
+    minus = Atomic(result.var_map.points_from_solver(minus_s.points), minus_s.weights)
 
     diff = result.mu_moments.values - result.nu_moments.values
     recon = (power_sums(plus.points, plus.weights, 2 * n)

@@ -107,6 +107,12 @@ class Atomic(MeasureSpec):
     def mass(self) -> float:
         return float(self.weights.sum())
 
+    @property
+    def points1d(self) -> np.ndarray:
+        if self.dim != 1:
+            raise UnsupportedDimension("points1d requires dimension 1")
+        return self.points[:, 0]
+
 
 @dataclass(frozen=True)
 class Mixture(MeasureSpec):
@@ -156,40 +162,6 @@ class Empirical(MeasureSpec):
     @property
     def mass(self) -> float:
         return 1.0
-
-
-@dataclass(frozen=True, eq=False)
-class AtomicMeasure:
-    """Atoms with nonnegative weights; the output type of atom extraction."""
-
-    points: np.ndarray  # (r, d)
-    weights: np.ndarray  # (r,)
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts.reshape(-1, 1)
-        w = np.asarray(self.weights, dtype=float).reshape(-1)
-        if w.shape[0] != pts.shape[0]:
-            raise ValueError("one weight per atom required")
-        pts.setflags(write=False)
-        w.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "weights", w)
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1] if self.points.size else 1
-
-    @property
-    def mass(self) -> float:
-        return float(self.weights.sum())
-
-    @property
-    def points1d(self) -> np.ndarray:
-        if self.dim != 1:
-            raise UnsupportedDimension("points1d requires dimension 1")
-        return self.points[:, 0]
 
 
 def _gaussian_moments_1d(mean: float, std: float, max_degree: int) -> np.ndarray:
@@ -265,46 +237,32 @@ def sample(spec: MeasureSpec, count: int, rng: np.random.Generator) -> np.ndarra
 _MERGE_TOL = 1e-9
 
 
-def _merge_atoms(points: np.ndarray, weights: np.ndarray):
-    """Sum weights of points that coincide within the merge tolerance."""
-    merged_pts: list[np.ndarray] = []
-    merged_w: list[float] = []
-    for p, w in zip(points, weights):
-        for i, q in enumerate(merged_pts):
-            if np.max(np.abs(p - q)) <= _MERGE_TOL:
-                merged_w[i] += w
-                break
-        else:
-            merged_pts.append(p)
-            merged_w.append(float(w))
-    return merged_pts, merged_w
-
-
-def exact_tv_atomic(mu, nu) -> float:
+def exact_tv_atomic(mu: Atomic, nu: Atomic) -> float:
     """Exact TV distance between two atomic measures on the [0, 2] scale.
 
-    Accepts Atomic specs or AtomicMeasure values.  Atoms closer than 1e-9
-    are identified; the result is sum over the union support of
-    |mu({x}) - nu({x})| and lies in [0, mass(mu) + mass(nu)].
+    One pass merges mu's atoms with weight +w and nu's with weight -w: an
+    atom joins the first merged atom within 1e-9 of it (max norm), else it
+    starts a new one.  The result is the sum of |w| over the merged atoms
+    and lies in [|mass(mu) - mass(nu)|, mass(mu) + mass(nu)].
     """
-    mu_pts = np.atleast_2d(mu.points)
-    nu_pts = np.atleast_2d(nu.points)
-    if mu_pts.shape[1] != nu_pts.shape[1]:
+    if mu.dim != nu.dim:
         raise DimensionMismatch("atomic measures have different dimensions")
-    pts_m, w_m = _merge_atoms(mu_pts, np.asarray(mu.weights, dtype=float))
-    pts_n, w_n = _merge_atoms(nu_pts, np.asarray(nu.weights, dtype=float))
-    total = 0.0
-    used = [False] * len(pts_n)
-    for p, w in zip(pts_m, w_m):
-        for i, q in enumerate(pts_n):
-            if np.max(np.abs(p - q)) <= _MERGE_TOL:
-                total += abs(w - w_n[i])
-                used[i] = True
-                break
-        else:
-            total += abs(w)
-    total += sum(w for w, u in zip(w_n, used) if not u)
-    return float(total)
+    merged_pts: list[np.ndarray] = []
+    merged_w: list[float] = []
+    for measure, sign in ((mu, 1.0), (nu, -1.0)):
+        nu_start = len(merged_w)
+        for p, w in zip(measure.points, measure.weights):
+            for i, q in enumerate(merged_pts):
+                if np.max(np.abs(p - q)) <= _MERGE_TOL:
+                    merged_w[i] += sign * w
+                    break
+            else:
+                merged_pts.append(p)
+                merged_w.append(sign * float(w))
+    # the atoms mu began and those nu added are summed apart, so that two
+    # disjoint probability measures are exactly 2 apart
+    return float(sum(abs(w) for w in merged_w[:nu_start])
+                 + sum(abs(w) for w in merged_w[nu_start:]))
 
 
 def _density_terms(spec: MeasureSpec) -> list[tuple[float, MeasureSpec]]:

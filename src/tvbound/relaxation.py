@@ -40,7 +40,7 @@ import numpy as np
 
 from . import conic
 from .conic import ConicProgram, PsdBlock, SolveResult, SolveStatus, SolverSettings, _sym
-from .errors import CertificateMismatch, DegreeTooLow, DimensionMismatch, SolverFailure
+from .errors import CertificateMismatch, DegreeTooLow, DimensionMismatch
 from .indexing import basis_size
 from .measures import MeasureSpec, moments
 from .moments import MomentSequence, affine_matrix, moment_matrix, structure_tensor
@@ -332,9 +332,10 @@ class HierarchyResult:
     solve, so up to the solver tolerance it never overstates the bound.
 
     ``status`` is the level's outcome and ``solve`` the conic solver's.
-    They differ only when ``certify`` is on and the recovered certificate
-    fails its identity check: the level is then NumericalFailure with rho
-    NaN, while ``solve.status`` keeps the solver's Optimal.
+    Every level that is not Optimal has rho NaN; its other fields are the
+    untrusted iterate.  The two statuses differ only when ``certify`` is on
+    and the recovered certificate fails its identity check: the level is
+    then NumericalFailure, while ``solve.status`` keeps the solver's Optimal.
     """
 
     level: int
@@ -363,10 +364,11 @@ def solve_level(
     """Solve the level-n relaxation of ||mu - nu||_TV from moment data.
 
     The solve runs in the frame of ``var_map``, by default the one
-    ``variable_map_for`` picks.  Raises SolverFailure when the solver does
-    not reach an acceptable optimum, or when ``settings.certify`` is on and
-    the recovered certificate fails its check; the exception carries the
-    untrusted partial result.
+    ``variable_map_for`` picks.  A failed level is a status, not an
+    exception: when the solver does not reach an acceptable optimum, or when
+    ``settings.certify`` is on and the recovered certificate fails its check,
+    the result carries the level's status and rho = NaN, and its iterate is
+    untrusted.  Invalid inputs still raise.
     """
     settings = settings or HierarchySettings()
     mu2n, nu2n = _level_inputs(mu, nu, n)
@@ -394,19 +396,16 @@ def solve_level(
         problem=problem, var_map=var_map, mu_moments=mu2n, nu_moments=nu2n,
         wall_ms=wall_ms, phi_solver=phi_s, psi_solver=psi_s,
     )
-    status, why = res.status, (
-        f"solve ended with status {res.status.value} (pres={res.primal_residual:.2e}, "
-        f"dres={res.dual_residual:.2e}, gap={res.gap:.2e})")
+    status = res.status
     if status == SolveStatus.OPTIMAL and settings.certify:
         from .certificates import recover_certificate
 
         try:
             result = replace(result, certificate=recover_certificate(result))
-        except CertificateMismatch as exc:
-            status, why = SolveStatus.NUMERICAL_FAILURE, f"certificate failed its check: {exc}"
+        except CertificateMismatch:
+            status = SolveStatus.NUMERICAL_FAILURE
     if status != SolveStatus.OPTIMAL:
-        raise SolverFailure(f"level {n} {why}", status=status,
-                            result=replace(result, rho=float("nan"), status=status))
+        result = replace(result, rho=float("nan"), status=status)
     return result
 
 
@@ -452,10 +451,9 @@ def solve_hierarchy(mu, nu, levels, settings: HierarchySettings | None = None) -
     """Solve the relaxation at every level in ``levels``.
 
     ``mu`` and ``nu`` may be MeasureSpec (moments computed exactly) or
-    MomentSequence values with degree >= 2*max(levels).  Per-level solver
-    failures, and certificates that fail their check, are recorded on the
-    corresponding entry (rho = NaN, with the level's status) instead of
-    aborting the sweep.
+    MomentSequence values with degree >= 2*max(levels).  A level that fails
+    is recorded as ``solve_level`` returns it (rho = NaN, with the level's
+    status); the sweep goes on.
     """
     settings = settings or HierarchySettings()
     levels = [int(n) for n in levels]
@@ -467,14 +465,9 @@ def solve_hierarchy(mu, nu, levels, settings: HierarchySettings | None = None) -
     if mu_seq.dim != nu_seq.dim:
         raise DimensionMismatch(f"mu has d={mu_seq.dim}, nu has d={nu_seq.dim}")
 
-    results = []
-    for n in levels:
-        try:
-            results.append(solve_level(mu_seq, nu_seq, n, settings))
-        except SolverFailure as failure:
-            results.append(failure.result)
+    results = [solve_level(mu_seq, nu_seq, n, settings) for n in levels]
     return HierarchySweep(
         results=tuple(results),
         monotone=monotone_within(sorted(results, key=lambda r: r.level),
-                                 2.0 * settings.accept_tol),
+                                 2.0 * settings.accept),
     )

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from tvbound.cli import ConfigError, main, parse_levels
+from tvbound.cli import ConfigError, build_parser, load_config, main, parse_levels
 from tvbound.measures import Gaussian
 from tvbound.relaxation import HierarchySettings, solve_hierarchy
 
@@ -294,6 +294,40 @@ def test_empirical_undersampling_warning(tmp_path, capsys):
     main(["moments", "--config", write_config(tmp_path, cfg)])
     err = capsys.readouterr().err
     assert "fewer than 100 per moment" in err
+
+
+def test_exact_does_not_warn_about_undersampling(tmp_path, capsys):
+    # the exact oracles read no moments, so the sample size does not matter
+    cfg = {
+        "version": 1,
+        "mu": {"type": "empirical", "samples": [[0.0], [1.0]]},
+        "nu": {"type": "atomic", "atoms": [{"point": 0.0, "weight": 1.0}]},
+    }
+    assert main(["exact", "--config", write_config(tmp_path, cfg)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("payload", [
+    dict(GAUSS_ROW, solver={"tol": "abc"}),
+    dict(GAUSS_ROW, seed="x"),
+    dict(GAUSS_ROW, solver=5),
+    dict(GAUSS_ROW, solver={"max_iters": 100}),
+    [GAUSS_ROW],
+], ids=["tol-not-a-number", "seed-not-a-number", "solver-not-an-object",
+        "unknown-solver-key", "config-not-an-object"])
+def test_malformed_config_is_a_config_error(tmp_path, capsys, payload):
+    assert main(["bound", "--config", write_config(tmp_path, payload)]) == 3
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_settings_come_from_the_keys_given(tmp_path):
+    def settings(payload, *flags):
+        path = write_config(tmp_path, payload)
+        return load_config(build_parser().parse_args(["bound", "--config", path, *flags])).settings
+
+    assert settings(GAUSS_ROW) == HierarchySettings()
+    assert settings(dict(GAUSS_ROW, solver={"max_iter": 100}), "--tol", "1e-6") == \
+        HierarchySettings(tol=1e-6, max_iter=100)
 
 
 def test_bad_config_exit_codes(tmp_path, capsys):

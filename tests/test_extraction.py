@@ -4,7 +4,7 @@ import pytest
 from tvbound.errors import DegreeTooLow, IllConditioned, NotFlat, UnsupportedDimension
 from tvbound.extraction import extract_atoms, flatness, recover_hahn_jordan
 from tvbound.measures import Atomic, Gaussian, exact_tv_atomic, moments
-from tvbound.moments import MomentSequence
+from tvbound.moments import MomentSequence, power_sums
 from tvbound.relaxation import solve_hierarchy, variable_map_for
 
 
@@ -125,6 +125,18 @@ def test_hahn_jordan_common_atom_example():
     for atom in minus.points1d:
         assert min(abs(atom - y) for y in [0.3, 0.6, 0.7, 1.2]) <= 1e-3
     assert plus.mass + minus.mass == pytest.approx(1.5, abs=1e-5)
+
+
+def test_extracted_pair_is_atomic():
+    # the pair has the input type, so moments and the exact oracle apply
+    mu = Atomic.univariate([0.0, 0.3, 0.4, 0.9], [0.25] * 4)
+    nu = Atomic.univariate([0.3, 0.6, 0.7, 1.2], [0.25] * 4)
+    res = solve_hierarchy(mu, nu, [4])[0]
+    plus, minus = recover_hahn_jordan(res)
+    for measure in (plus, minus):
+        assert np.array_equal(moments(measure, 1, 8).values,
+                              power_sums(measure.points, measure.weights, 8))
+    assert exact_tv_atomic(plus, minus) == pytest.approx(res.rho, abs=1e-6)
 
 
 def test_hahn_jordan_shared_point_tv_example():

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from tvbound.errors import DimensionMismatch, EmptySample
 from tvbound.measures import (
     Atomic,
-    AtomicMeasure,
     Empirical,
     Exponential,
     Gaussian,
@@ -127,6 +126,15 @@ def test_exact_tv_atomic_merges_close_atoms():
     assert exact_tv_atomic(mu, nu) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_exact_tv_atomic_matches_each_atom_once():
+    # nu's atom lies within the merge tolerance of both of mu's, which lie
+    # outside it of each other: it cancels one of them, never both
+    mu = Atomic.univariate([0.0, 1.5e-9], [0.5, 0.5])
+    nu = Atomic.univariate([0.8e-9], [0.5])
+    assert exact_tv_atomic(mu, nu) == 0.5
+    assert exact_tv_atomic(nu, mu) == 0.5
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     st.lists(st.floats(-3, 3), min_size=1, max_size=4),
@@ -135,8 +143,8 @@ def test_exact_tv_atomic_merges_close_atoms():
     st.lists(st.floats(0.05, 1.0), min_size=4, max_size=4),
 )
 def test_exact_tv_atomic_symmetry_and_bounds(p1, w1, p2, w2):
-    mu = AtomicMeasure(np.array(p1), w1[: len(p1)])
-    nu = AtomicMeasure(np.array(p2), w2[: len(p2)])
+    mu = Atomic.univariate(p1, w1[: len(p1)])
+    nu = Atomic.univariate(p2, w2[: len(p2)])
     tv = exact_tv_atomic(mu, nu)
     assert tv == pytest.approx(exact_tv_atomic(nu, mu), rel=1e-12, abs=1e-12)
     assert -1e-12 <= tv <= mu.mass + nu.mass + 1e-12

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tvbound.conic import SolveStatus, SolveResult
-from tvbound.errors import DegreeTooLow, DimensionMismatch, SolverFailure
+from tvbound.errors import DegreeTooLow, DimensionMismatch
 from tvbound.indexing import basis_size
 from tvbound.measures import (
     Atomic,
@@ -390,11 +390,18 @@ def test_solver_failure_carries_result(monkeypatch):
 
     monkeypatch.setattr(relax_mod.conic, "solve", always_bad)
     mu, nu = gaussian_pair(0, 0.5, 1, 0.5, 2)
-    with pytest.raises(SolverFailure) as info:
-        solve_level(mu, nu, 1)
-    assert info.value.status == SolveStatus.NUMERICAL_FAILURE
-    assert info.value.result is not None
-    assert np.isnan(info.value.result.rho)
+    # a failed level is a status on the returned result, not an exception
+    res = solve_level(mu, nu, 1)
+    assert res.status == SolveStatus.NUMERICAL_FAILURE
+    assert res.solve.status == SolveStatus.NUMERICAL_FAILURE
+    assert np.isnan(res.rho)
+
+
+def test_monotone_slack_without_accept_tol():
+    # accept_tol=None means tol, and the monotonicity slack follows it
+    settings = HierarchySettings(accept_tol=None)
+    sweep = solve_hierarchy(Gaussian(0, 0.5), Gaussian(1, 0.5), [1, 2], settings)
+    assert sweep.monotone
 
 
 
