@@ -12,12 +12,16 @@ one (g, s, s) array and its F_ki as one (m, g, s, s) array.  Every program
 with a variable goes through one cone-only core on these stacks, a
 Nesterov-Todd scaled predictor-corrector method, and ``solve`` scatters the
 duals back to input block order and shape.  The solver restricts nothing to
-a face: no block may have a constant kernel (see ``solve``).  In the core
-the affine map, its adjoint, the dual projection and the Schur complement
+a face: no block may have a constant kernel (see ``solve``).  The core
+solves each Newton system in NT-scaled coordinates, where S and Z are the
+same diagonal matrix: the complementarity terms, the step-length matrices
+and the corrector are then entrywise products, and no matrix is inverted.
+The affine map, its adjoint, the dual projection and the Schur complement
 are a few matmuls per group.  Each iterate is factored once, by the cone
 check that accepts it, and each step-length pair is one eigen-solve, so a
-typical iteration makes two Cholesky calls (the iterate and the Schur
-matrix), one SVD and two or three eigen-solves per group.
+typical iteration makes one SVD (the scaling), one Cholesky (the cone check)
+and two or three eigen-solves per group, one Cholesky of the Schur matrix,
+and three ``dpotrs`` solves per direction.
 
 All computations are deterministic: identical inputs and settings produce
 bit-identical outputs.
@@ -111,12 +115,20 @@ class SolverSettings:
     gap.  ``accept_tol`` (defaults to ``tol``) is the fallback: if the target
     is not reached within ``max_iter`` but the best iterate meets
     ``accept_tol``, the solve still counts as Optimal at that accuracy; the
-    reported residuals are always the achieved ones.
+    reported residuals are always the achieved ones.  ``tol`` must be
+    positive and finite and ``max_iter`` at least 1; other values raise
+    ``ValueError``, since no solve could meet them honestly.
     """
 
     tol: float = 1e-8
     max_iter: int = 200
     accept_tol: float | None = None
+
+    def __post_init__(self):
+        if not 0.0 < self.tol < np.inf:
+            raise ValueError(f"tol must be positive and finite, not {self.tol!r}")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be at least 1, not {self.max_iter!r}")
 
     @property
     def accept(self) -> float:
@@ -202,9 +214,15 @@ def _in_cone(stacks):
         return None
 
 
-def _inv_factor(chol_l: np.ndarray) -> np.ndarray:
-    """L^-1 for each lower-triangular factor of a stack, by triangular inversion."""
-    return np.stack([lapack.dtrtri(lf, lower=1)[0] for lf in chol_l])
+def _nt_scaling(chol_l: np.ndarray, chol_r: np.ndarray):
+    """NT scaling of each pair S = L L^T, Z = R R^T of two stacks: (G, G^-1,
+    sig) with G^-1 S G^-T = G^T Z G = diag(sig).  From the SVD
+    R^T L = U diag(sig) V^T, G = L V diag(sig)^-1/2 and
+    G^-1 = diag(sig)^-1/2 U^T R^T, so no matrix is inverted."""
+    rt = chol_r.swapaxes(1, 2)
+    u, sig, vt = np.linalg.svd(rt @ chol_l)
+    root = np.sqrt(sig)[:, None, :]
+    return (chol_l @ vt.swapaxes(1, 2)) / root, (u / root).swapaxes(1, 2) @ rt, sig
 
 
 def _data_scale(f0) -> float:
@@ -250,8 +268,18 @@ def _solve_cone(c, f0, coeffs, settings: SolverSettings):
     The strict Cholesky factors of the cone check that accepted S and Z
     (symmetrized before it, so they are the iterate's own) are the next
     iteration's L and R; it factors afresh only after a backtrack that found
-    no point in the cone.  Each step-length pair takes one eigen-solve per
-    group, on the stacked L^-1 dS L^-T and R^-1 dZ R^-T.
+    no point in the cone.  One SVD per group, R^T L = U diag(sig) V^T, gives
+    the NT scaling G = L V diag(sig)^-1/2 and its inverse
+    G^-1 = diag(sig)^-1/2 U^T R^T (``_nt_scaling``), with
+    G^-1 S G^-T = G^T Z G = diag(sig).  The Newton step is solved in those
+    coordinates, where each F_i is P_i = G^-1 F_i G^-T and the Schur matrix
+    is M = P P^T: a primal direction is rp + sum_i dx_i P_i, the dual one
+    follows entrywise, and the corrector is sym(ds dz diag(sig)^-1).  Each
+    step-length pair takes one eigen-solve per group, on the stacked
+    diag(sig)^-1/2 ds diag(sig)^-1/2 and the same for dz.  The chosen
+    direction goes back to the unscaled frame once per iteration,
+    dS = G ds G^T and dZ = G^-T dz G^-1, for the growth cap, the cone check
+    and the polish below.
 
     Stabilizers for the degenerate problems this package produces (loss of
     strict complementarity, nearly singular data):
@@ -263,10 +291,11 @@ def _solve_cone(c, f0, coeffs, settings: SolverSettings):
       tried one by one, S and Z with backtracking;
     * the dual is kept on the affine dual-feasibility manifold by one
       least-change projection along the F_i (its Gram matrix is constant).
-      Every dual direction is projected so that adjoint(dZ) = c - adjoint(Z):
-      the NT formula recovers dZ from the Schur solution only up to that
-      solve's residual, which near a degenerate optimum is large enough to
-      throw a converged dual residual back to O(1).  After a dual step
+      Every dual direction is projected so that adjoint(dZ) = c - adjoint(Z)
+      (in scaled coordinates adjoint(dz) = P dz, and the shift enters as
+      G^T (.) G): the NT formula recovers dZ from the Schur solution only up
+      to that solve's residual, which near a degenerate optimum is large
+      enough to throw a converged dual residual back to O(1).  After a dual step
       shorter than 1, Z itself is projected whenever the shift is small
       against Z and keeps it positive definite, which removes the residual
       the partial step leaves instead of letting it decay with the steps;
@@ -285,6 +314,16 @@ def _solve_cone(c, f0, coeffs, settings: SolverSettings):
     total_dim = sum(f.shape[0] * f.shape[1] for f in f0)
     data_norm = _data_scale(f0)
     c_norm = 1.0 + np.linalg.norm(c)
+    # the scaled iteration keeps each group's matrices as one flat slice
+    ends = np.cumsum([0] + [f.size for f in f0])
+    slices = [(slice(a, b), f.shape) for a, b, f in zip(ends, ends[1:], f0)]
+
+    def split(v):
+        """Per-group (g, s, s) views of a flat vector of scaled matrices."""
+        return [v[part].reshape(shape) for part, shape in slices]
+
+    def flat(stacks):
+        return np.concatenate([a.reshape(-1) for a in stacks])
 
     def linear(x):
         return [(x @ op).reshape(f.shape) for f, op in zip(f0, ops)]
@@ -295,21 +334,23 @@ def _solve_cone(c, f0, coeffs, settings: SolverSettings):
     # constant Gram matrix of the dual-feasibility map, for the projection
     gram_chol = _chol(_sym(sum(op @ op.T for op in ops)))
 
-    def project_dual(zs, target):
-        """Least-change shift of zs along the F_i that makes adjoint = target,
-        and the shift's coefficients; zs unchanged if the Gram is singular."""
+    def dual_shift(residual):
+        """Coefficients and per-group matrices of the least-change shift
+        sum_i lam_i F_i whose adjoint is ``residual``; None if the Gram is singular."""
         if gram_chol is None:
-            return zs, None
-        lam = lapack.dpotrs(gram_chol, target - adjoint(zs), lower=1)[0]
-        return [_sym(z + d) for z, d in zip(zs, linear(lam))], lam
+            return None
+        lam = lapack.dpotrs(gram_chol, residual, lower=1)[0]
+        return lam, linear(lam)
 
     def polish(zs):
         """zs projected onto adjoint = c, if that shift is small against zs; else None."""
-        fixed, lam = project_dual(zs, c)
-        if lam is None:
+        shift = dual_shift(c - adjoint(zs))
+        if shift is None:
             return None
-        shift = float(np.linalg.norm(lam))
-        return fixed if np.isfinite(shift) and shift <= 1e-3 * (1.0 + _fro_max(zs)) else None
+        size = float(np.linalg.norm(shift[0]))
+        if not (np.isfinite(size) and size <= 1e-3 * (1.0 + _fro_max(zs))):
+            return None
+        return [_sym(z + d) for z, d in zip(zs, shift[1])]
 
     def backtrack(X, dX, alpha):
         """Shrink alpha by 0.8 until X + alpha dX has strict Cholesky factors,
@@ -353,11 +394,11 @@ def _solve_cone(c, f0, coeffs, settings: SolverSettings):
             "score": max(pres, dres, relgap), "x": x, "Z": Z, "pobj": pobj,
             "dobj": dobj, "pres": pres, "dres": dres, "relgap": relgap,
         }
-        return Sx, rp, rd, gap_abs, pobj, dobj, snap
+        return rp, rd, gap_abs, pobj, dobj, snap
 
     for it in range(settings.max_iter):
         iters_done = it
-        Sx, rp, rd, gap_abs, pobj, dobj, snap = evaluate(x, S, Z)
+        rp, rd, gap_abs, pobj, dobj, snap = evaluate(x, S, Z)
         score = snap["score"]
 
         if not np.isfinite(score):
@@ -391,62 +432,65 @@ def _solve_cone(c, f0, coeffs, settings: SolverSettings):
                 status, reason = SolveStatus.NUMERICAL_FAILURE, "numerical"
                 break
             Ls, Rs = _unstack(factors, 2)
-        # per group, [L^-1; R^-1] and the NT Grams [Winv; Zinv] as one stack
-        # each, from Winv = G^-T G^-1 and Zinv = R^-T R^-1
-        inv = [_inv_factor(np.concatenate(lr)) for lr in zip(Ls, Rs)]
-        Winv, Zinv = [], []
-        for lf, rf, ri in zip(Ls, Rs, _unstack(inv, 2)[1]):
-            rt = rf.swapaxes(1, 2)
-            u, sig, _ = np.linalg.svd(rt @ lf)
-            ginv = (u / np.sqrt(sig)[:, None, :]).swapaxes(1, 2) @ rt
-            stack = np.concatenate([ginv, ri])
-            grams = _sym(stack.swapaxes(1, 2) @ stack)
-            Winv.append(grams[:len(lf)])
-            Zinv.append(grams[len(lf):])
+        # NT scaling of each group: in the coordinates G^-1 (.) G^-T for S and
+        # G^T (.) G for Z both iterates are diag(sig), and the scaled F_i,
+        # P_i = G^-1 F_i G^-T, are the rows of one (m, N) matrix P
+        G, Ginv, sig = zip(*(_nt_scaling(lf, rf) for lf, rf in zip(Ls, Rs)))
+        Gt = [g.swapaxes(1, 2) for g in G]
+        Ginvt = [gi.swapaxes(1, 2) for gi in Ginv]
+        P = np.concatenate([_sym(gi @ f @ git).reshape(m, -1)
+                            for gi, f, git in zip(Ginv, coeffs, Ginvt)], axis=1)
+        rp_s = flat([_sym(gi @ r @ git) for gi, r, git in zip(Ginv, rp, Ginvt)])
+        diag = flat([np.eye(len(v[0])) * v[:, :, None] for v in sig])
+        inv_diag = flat([np.eye(len(v[0])) / v[:, :, None] for v in sig])
+        # entrywise form of diag(sig)^-1/2 (.) diag(sig)^-1/2
+        unit = flat([1.0 / np.sqrt(v[:, :, None] * v[:, None, :]) for v in sig])
 
-        # Schur complement  M_ij = sum_k <F_ki, Winv_k F_kj Winv_k>
-        M = _sym(sum(
-            op @ (w @ f @ w).reshape(m, -1).T for op, f, w in zip(ops, coeffs, Winv)
-        ))
+        # Schur complement  M_ij = <P_i, P_j>
+        M = _sym(P @ P.T)
         mchol = _chol(M)
         if mchol is None:
             status, reason = SolveStatus.NUMERICAL_FAILURE, "numerical"
             break
 
         def direction(sigma, corr):
-            es = [sigma * mu * zi - sx for zi, sx in zip(Zinv, Sx)]
+            # scaled complementarity ds + dz = sigma mu diag(sig)^-1 - diag(sig)
+            # (- corr); e is its right side less rp, so ds = rp + sum dx_i P_i
+            e = sigma * mu * inv_diag - diag - rp_s
             if corr is not None:
-                es = [e - cr for e, cr in zip(es, corr)]
-            rhs = adjoint([_sym(w @ e @ w) for w, e in zip(Winv, es)]) - rd
+                e = e - corr
+            rhs = P @ e - rd
             dx = lapack.dpotrs(mchol, rhs, lower=1)[0]
             # one round of iterative refinement; the Schur system gets very
             # ill-conditioned near degenerate optima
             dx = dx + lapack.dpotrs(mchol, rhs - M @ dx, lower=1)[0]
-            ds = [r + d for r, d in zip(rp, linear(dx))]
-            dz = [_sym(w @ (e + r - d) @ w) for w, e, r, d in zip(Winv, es, rp, ds)]
-            # Winv (...) Winv meets adjoint(dz) = rd only up to the Schur
-            # solve's residual, which is large when M is nearly singular;
-            # the step-length search below keeps the corrected Z in the cone
-            dz, _ = project_dual(dz, rd)
+            ds = rp_s + dx @ P
+            dz = e + rp_s - ds
+            # dz meets adjoint(dz) = P dz = rd only up to the Schur solve's
+            # residual, which is large when M is nearly singular; the shift
+            # along the F_i that removes it is G^T F G in these coordinates.
+            # The step-length search below keeps the corrected Z in the cone
+            shift = dual_shift(rd - P @ dz)
+            if shift is not None:
+                dz = dz + flat([_sym(gt @ d @ g) for gt, d, g in zip(Gt, shift[1], G)])
             return dx, ds, dz
 
         def step_lengths(ds, dz):
             # the largest alpha keeping S + alpha ds PSD is -1 / lambda_min of
-            # L^-1 ds L^-T, and likewise for Z; one eigen-solve per group
-            lams = [np.linalg.eigvalsh(_sym(v @ np.concatenate(d) @ v.swapaxes(1, 2)))[:, 0]
-                    for v, d in zip(inv, zip(ds, dz))]
-            steps = []
-            for part in _unstack(lams, 2):
-                lam = min(float(a.min()) for a in part)
-                steps.append(min(1.0, _STEP_FRACTION * (np.inf if lam >= -1e-14 else -1.0 / lam)))
-            return steps
+            # diag(sig)^-1/2 ds diag(sig)^-1/2, and likewise for Z; one
+            # eigen-solve per group
+            scaled = np.stack([ds, dz]) * unit
+            lams = np.min([np.linalg.eigvalsh(scaled[:, part].reshape(-1, *shape[1:]))
+                           .reshape(2, -1).min(axis=1) for part, shape in slices], axis=0)
+            return [min(1.0, _STEP_FRACTION * (np.inf if lam >= -1e-14 else -1.0 / lam))
+                    for lam in lams.tolist()]
 
         dx_a, ds_a, dz_a = direction(0.0, None)
         ap_a, ad_a = step_lengths(ds_a, dz_a)
-        gap_aff = _inner([s + ap_a * d for s, d in zip(S, ds_a)],
-                         [z + ad_a * d for z, d in zip(Z, dz_a)])
+        gap_aff = float((diag + ap_a * ds_a) @ (diag + ad_a * dz_a))
         sigma = min(0.99, max(1e-8, (max(gap_aff, 0.0) / gap_abs) ** 3))
-        corr = [_sym(a @ b @ zi) for a, b, zi in zip(ds_a, dz_a, Zinv)]
+        corr = flat([_sym((a @ b) / v[:, None, :])
+                     for a, b, v in zip(split(ds_a), split(dz_a), sig)])
         dx, ds, dz = direction(sigma, corr)
         ap, ad = step_lengths(ds, dz)
         # fall back to the centered direction without the second-order
@@ -456,6 +500,9 @@ def _solve_cone(c, f0, coeffs, settings: SolverSettings):
             ap2, ad2 = step_lengths(ds2, dz2)
             if min(ap2, ad2) > min(ap, ad):
                 dx, ds, dz, ap, ad = dx2, ds2, dz2, ap2, ad2
+        # back to the unscaled frame: dS = G ds G^T and dZ = G^-T dz G^-1
+        ds = [g @ d @ gt for g, d, gt in zip(G, split(ds), Gt)]
+        dz = [git @ d @ gi for git, d, gi in zip(Ginvt, split(dz), Ginv)]
 
         # when the dual optimum is not attained Z must be allowed to grow,
         # but geometrically, not explosively

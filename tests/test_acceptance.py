@@ -118,6 +118,14 @@ def test_criterion_1_supplement_disputed_entries_verified(gaussian_sweeps):
     print("\nACCEPTANCE 1 supplement: corrected values certificate-verified", flush=True)
 
 
+def test_golden_table_solves_converge(gaussian_sweeps):
+    # a solve accepted on the stall rule meets only accept_tol; at least 30
+    # of the 36 table solves must reach tol itself
+    reasons = [res.solve.stop_reason for sweep in gaussian_sweeps.values() for res in sweep]
+    assert len(reasons) == 36
+    assert reasons.count("converged") >= 30, reasons
+
+
 def test_criterion_2_nishiyama_identity(gaussian_sweeps):
     worst = 0.0
     for (m1, s1), (m2, s2), _ in GAUSSIAN_TABLE:

@@ -121,6 +121,15 @@ def test_failed_certificate_check_is_recorded_not_raised():
     assert failed.solve.status == SolveStatus.OPTIMAL
 
 
+def test_two_against_three_atoms_certified_at_level_2():
+    mu = Atomic.univariate([-1.0, 1.0], [0.6, 0.4])
+    nu = Atomic.univariate([-1.0, 0.2, 1.3], [0.3, 0.4, 0.3])
+    (res,) = solve_hierarchy(mu, nu, [2], CERTIFY)
+    assert res.status == SolveStatus.OPTIMAL
+    value = verify_certificate(res.certificate, moments(mu, 1, 4), moments(nu, 1, 4))
+    assert value <= res.rho + 1e-6
+
+
 def test_trivial_certificate_is_valid_but_loose():
     # p = 0 with sigma0 = psi0 = 1 and sigma1 = psi1 = 0 certifies the
     # trivial bound 0

@@ -6,6 +6,7 @@ from tvbound.conic import (
     PsdBlock,
     SolveStatus,
     SolverSettings,
+    _nt_scaling,
     solve,
 )
 from tvbound.measures import Atomic, Gaussian, moments
@@ -172,6 +173,28 @@ def test_determinism_bit_identical():
         )
 
 
+@pytest.mark.parametrize("bad", [dict(tol=0.0), dict(tol=-1.0), dict(tol=float("nan")),
+                                 dict(tol=float("inf")), dict(max_iter=0), dict(max_iter=-3)])
+def test_settings_refuse_targets_no_solve_can_meet(bad):
+    with pytest.raises(ValueError):
+        SolverSettings(**bad)
+    with pytest.raises(ValueError):
+        HierarchySettings(**bad)
+
+
+def test_nt_scaling_diagonalizes_both_iterates():
+    rng = np.random.default_rng(5)
+    for order in range(1, 6):
+        a, b = rng.standard_normal((2, 3, order, order))
+        S = a @ a.swapaxes(1, 2) + 0.1 * np.eye(order)
+        Z = b @ b.swapaxes(1, 2) + 0.1 * np.eye(order)
+        G, Ginv, sig = _nt_scaling(np.linalg.cholesky(S), np.linalg.cholesky(Z))
+        diag = sig[:, :, None] * np.eye(order)
+        for scaled in (Ginv @ S @ Ginv.swapaxes(1, 2), G.swapaxes(1, 2) @ Z @ G):
+            assert np.abs(scaled - diag).max() <= 1e-10 * sig.max()
+        assert np.abs(G @ Ginv - np.eye(order)).max() <= 1e-10
+
+
 @pytest.mark.parametrize("max_iter", [1, 2, 3, 5])
 def test_max_iter_reports_every_step(max_iter):
     res = solve(arithmetic_geometric_program(), SolverSettings(max_iter=max_iter))
@@ -203,7 +226,7 @@ def test_iteration_factors_each_iterate_once(monkeypatch):
 
 
 def test_stop_reason_names_each_exit():
-    (res,) = solve_hierarchy(Gaussian(0.0, 0.5), Gaussian(1.0, 0.5), [3])
+    (res,) = solve_hierarchy(Gaussian(0.8, 0.05), Gaussian(1.0, 0.01), [4])
     assert (res.status, res.solve.stop_reason) == (SolveStatus.OPTIMAL, "stalled")
     # example 1's kernels pin every variable at n=4
     mu = Atomic.univariate([-1.0, 0.0, 1.0, 2.0], [0.25] * 4)

@@ -19,9 +19,13 @@ tab-separated row per solve to ``OUT``:
 
 A row holds the status, rho as a float hex and the iteration count.  BLAS is
 pinned to one thread, since its thread count changes summation orders.  The
-second form lists the rows of two such files that differ and exits 1 if any
-do.  To fingerprint an older commit, export it (``git archive``) and pass
-its directory as ``--root``.  A run takes under a minute on one core.
+second form lists the rows of two such files that differ, then sums them up
+per group (``bench/gaussian_table``, ``bench/atomic_exact``,
+``bench/certified``, ``wide``): the status counts and IPM iteration totals
+of each file, the benchmark ops that failed (not Optimal, or an error
+text), and every row whose status changed.  It exits 1 if any row differs.
+To fingerprint an older commit, export it (``git archive``) and pass its
+directory as ``--root``.  A run takes under a minute on one core.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import argparse
 import os
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -106,6 +111,37 @@ def _read(path: Path) -> dict:
     return rows
 
 
+GROUPS = ("bench/gaussian_table", "bench/atomic_exact", "bench/certified", "wide")
+
+
+def _fields(row) -> list:
+    """Status, rho and iterations, and on a benchmark row the verified value,
+    the atoms and the error text; a missing row reads as ``(missing)``."""
+    return row.split("\t") if row is not None else ["(missing)", "-", "0"]
+
+
+def summarize(a: Path, b: Path, left: dict, right: dict) -> None:
+    """Per group: each file's status counts, iteration total and failed
+    benchmark ops (not Optimal, or an error text), then every row whose
+    status changed."""
+    keys = list(left) + [k for k in right if k not in left]
+    for group in GROUPS:
+        mine = [k for k in keys if k.startswith(group + "/")]
+        print(f"\n== {group}: {len(mine)} rows")
+        for path, rows in ((a, left), (b, right)):
+            fields = {k: _fields(rows.get(k)) for k in mine}
+            statuses = Counter(f[0] for f in fields.values())
+            counts = ", ".join(f"{s} {n}" for s, n in sorted(statuses.items()))
+            print(f"  {path}: {counts}; {sum(int(f[2]) for f in fields.values())} iterations")
+            for key, f in fields.items():
+                if len(f) > 5 and (f[0] != "Optimal" or f[5]):
+                    print(f"    failed {key}: {f[0]} {f[5]}".rstrip())
+        for key in mine:
+            old, new = _fields(left.get(key)), _fields(right.get(key))
+            if old[0] != new[0]:
+                print(f"  status {key}: {old[0]} -> {new[0]} ({old[2]} -> {new[2]} iterations)")
+
+
 def compare(a: Path, b: Path) -> int:
     left, right = _read(a), _read(b)
     differ = 0
@@ -113,6 +149,7 @@ def compare(a: Path, b: Path) -> int:
         if left.get(key) != right.get(key):
             differ += 1
             print(f"{key}\n  {a}: {left.get(key, '(missing)')}\n  {b}: {right.get(key, '(missing)')}")
+    summarize(a, b, left, right)
     print(f"{len(left)} and {len(right)} rows, {differ} differ")
     return 1 if differ else 0
 
@@ -123,7 +160,7 @@ def main(argv=None) -> int:
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
                         help="checkout whose src/ and perfbench/ are used")
     parser.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"),
-                        help="list the rows of two fingerprint files that differ")
+                        help="list the rows of two fingerprint files that differ, and sum them up")
     args = parser.parse_args(argv)
     if args.compare:
         return compare(*args.compare)
