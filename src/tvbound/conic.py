@@ -21,7 +21,9 @@ are a few matmuls per group.  Each iterate is factored once, by the cone
 check that accepts it, and each step-length pair is one eigen-solve, so a
 typical iteration makes one SVD (the scaling), one Cholesky (the cone check)
 and two or three eigen-solves per group, one Cholesky of the Schur matrix,
-and three ``dpotrs`` solves per direction.
+three ``dpotrs`` solves per direction and one for the polish; a check that
+the polished Z fails takes one more Cholesky, and each shrink of the step
+repeats the check.
 
 All computations are deterministic: identical inputs and settings produce
 bit-identical outputs.
@@ -146,8 +148,10 @@ class SolveResult:
     block duals are symmetric PSD multipliers usable for certificate recovery.
 
     ``stop_reason`` is why the solve stopped: ``converged`` (at ``tol``),
-    ``stalled`` (see ``_solve_cone``), ``max_iter``, ``numerical``,
-    ``infeasible`` or ``pinned_point`` (no variable, the one point tested).
+    ``stalled`` (see ``_solve_cone``), ``max_iter``, ``numerical`` (a score
+    that is not finite, a Schur matrix with no Cholesky factor, or a step
+    that no shrink put back in the cone), ``infeasible`` or
+    ``pinned_point`` (no variable, the one point tested).
     An Optimal that did not converge was accepted at ``accept``.
     """
 
@@ -189,14 +193,11 @@ def _scatter(positions, stacks) -> tuple:
 
 
 def _chol(a: np.ndarray):
-    """Cholesky factor(s) of a matrix or a stack, jitter ladder per matrix; None on failure."""
+    """Cholesky factor of a matrix, with a jitter ladder; None on failure."""
     try:
         return np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
         pass
-    if a.ndim == 3:
-        factors = [_chol(one) for one in a]
-        return None if any(f is None for f in factors) else np.stack(factors)
     scale = max(np.trace(a) / a.shape[0], 1e-300)
     for jitter in (1e-14, 1e-12, 1e-10):
         try:
@@ -267,10 +268,9 @@ def _solve_cone(c, f0, coeffs, settings: SolverSettings):
 
     The strict Cholesky factors of the cone check that accepted S and Z
     (symmetrized before it, so they are the iterate's own) are the next
-    iteration's L and R; it factors afresh only after a backtrack that found
-    no point in the cone.  One SVD per group, R^T L = U diag(sig) V^T, gives
-    the NT scaling G = L V diag(sig)^-1/2 and its inverse
-    G^-1 = diag(sig)^-1/2 U^T R^T (``_nt_scaling``), with
+    iteration's L and R, so no iterate is factored afresh.  One SVD per group,
+    R^T L = U diag(sig) V^T, gives the NT scaling G = L V diag(sig)^-1/2 and
+    its inverse G^-1 = diag(sig)^-1/2 U^T R^T (``_nt_scaling``), with
     G^-1 S G^-T = G^T Z G = diag(sig).  The Newton step is solved in those
     coordinates, where each F_i is P_i = G^-1 F_i G^-T and the Schur matrix
     is M = P P^T: a primal direction is rp + sum_i dx_i P_i, the dual one
@@ -278,17 +278,18 @@ def _solve_cone(c, f0, coeffs, settings: SolverSettings):
     step-length pair takes one eigen-solve per group, on the stacked
     diag(sig)^-1/2 ds diag(sig)^-1/2 and the same for dz.  The chosen
     direction goes back to the unscaled frame once per iteration,
-    dS = G ds G^T and dZ = G^-T dz G^-1, for the growth cap, the cone check
-    and the polish below.
+    dS = G ds G^T and dZ = G^-T dz G^-1, for the cone check and the polish
+    below.
 
     Stabilizers for the degenerate problems this package produces (loss of
     strict complementarity, nearly singular data):
 
     * every step is verified by a strict Cholesky at the candidate point and
-      backtracked on failure, since max-step estimates from ill-conditioned
-      factors can overshoot the cone boundary.  S, Z and the polished Z
-      (below) are tried in one call per group; only when it fails are they
-      tried one by one, S and Z with backtracking;
+      shrunk on failure, since max-step estimates from ill-conditioned
+      factors can overshoot the cone boundary.  Each try checks S, Z and the
+      polished Z (below) in one call per group, and if that fails, S and Z
+      alone, which drops the polish.  If that fails too, both step lengths
+      shrink by 0.8; after 40 tries the solve stops as ``numerical``;
     * the dual is kept on the affine dual-feasibility manifold by one
       least-change projection along the F_i (its Gram matrix is constant).
       Every dual direction is projected so that adjoint(dZ) = c - adjoint(Z)
@@ -299,8 +300,6 @@ def _solve_cone(c, f0, coeffs, settings: SolverSettings):
       shorter than 1, Z itself is projected whenever the shift is small
       against Z and keeps it positive definite, which removes the residual
       the partial step leaves instead of letting it decay with the steps;
-    * the dual step may grow Z only geometrically, for problems whose dual
-      optimum is not attained;
     * the solve stops as stalled, and counts as Optimal, once the best
       iterate meets ``accept`` and its score has not halved in the last
       ``_STALL_WINDOW`` iterations.  A step of length alpha shrinks the
@@ -352,24 +351,13 @@ def _solve_cone(c, f0, coeffs, settings: SolverSettings):
             return None
         return [_sym(z + d) for z, d in zip(zs, shift[1])]
 
-    def backtrack(X, dX, alpha):
-        """Shrink alpha by 0.8 until X + alpha dX has strict Cholesky factors,
-        at most 40 tries: (alpha, the symmetrized point, its factors or None)."""
-        for _ in range(40):
-            point = [_sym(a + alpha * d) for a, d in zip(X, dX)]
-            factors = _in_cone(point)
-            if factors is not None:
-                return alpha, point, factors
-            alpha *= 0.8
-        return alpha, [_sym(a + alpha * d) for a, d in zip(X, dX)], None
-
     x = np.zeros(m)
     eta = max(1.0, data_norm ** 0.5)
     S = [np.tile(eta * np.eye(f.shape[1]), (f.shape[0], 1, 1)) for f in f0]
     Z = [s.copy() for s in S]
     # Cholesky factors of S and Z: sqrt(eta) I at the start, which is what
     # the factorization returns there, and then those of the cone check that
-    # accepted the iterate; None when they must be computed afresh
+    # accepted the iterate
     Ls = [np.tile(np.sqrt(eta) * np.eye(f.shape[1]), (f.shape[0], 1, 1)) for f in f0]
     Rs = Ls
 
@@ -424,18 +412,15 @@ def _solve_cone(c, f0, coeffs, settings: SolverSettings):
             status, reason = SolveStatus.INFEASIBLE, "infeasible"
             break
 
-        mu = gap_abs / total_dim
-
-        if Ls is None or Rs is None:
-            factors = [_chol(np.concatenate(sz)) for sz in zip(S, Z)]
-            if any(f is None for f in factors):
-                status, reason = SolveStatus.NUMERICAL_FAILURE, "numerical"
-                break
-            Ls, Rs = _unstack(factors, 2)
         # NT scaling of each group: in the coordinates G^-1 (.) G^-T for S and
         # G^T (.) G for Z both iterates are diag(sig), and the scaled F_i,
         # P_i = G^-1 F_i G^-T, are the rows of one (m, N) matrix P
         G, Ginv, sig = zip(*(_nt_scaling(lf, rf) for lf, rf in zip(Ls, Rs)))
+        # <S, Z> over the unscaled stacks can cancel to 0 or below near the
+        # optimum; in the scaled frame it is sum(sig**2), which is positive
+        if gap_abs <= 0.0:
+            gap_abs = _inner(sig, sig)
+        mu = gap_abs / total_dim
         Gt = [g.swapaxes(1, 2) for g in G]
         Ginvt = [gi.swapaxes(1, 2) for gi in Ginv]
         P = np.concatenate([_sym(gi @ f @ git).reshape(m, -1)
@@ -504,35 +489,30 @@ def _solve_cone(c, f0, coeffs, settings: SolverSettings):
         ds = [g @ d @ gt for g, d, gt in zip(G, split(ds), Gt)]
         dz = [git @ d @ gi for git, d, gi in zip(Ginvt, split(dz), Ginv)]
 
-        # when the dual optimum is not attained Z must be allowed to grow,
-        # but geometrically, not explosively
-        dz_norm = _fro_max(dz)
-        if dz_norm > 0:
-            ad = min(ad, 3.0 * (1.0 + _fro_max(Z)) / dz_norm)
-
         # verify cone membership at the candidate points, since the max-step
         # estimate is unreliable when the current factors are ill-conditioned.
         # A dual step shorter than 1 leaves the share (1 - ad) of the dual
         # residual; it is removed when that is a small polish that keeps the
-        # cone.  The factors of the accepted points are the next iteration's
-        S_new = [_sym(s + ap * d) for s, d in zip(S, ds)]
-        Z_new = [_sym(z + ad * d) for z, d in zip(Z, dz)]
-        fixed = polish(Z_new)
-        points = [S_new, Z_new] + ([] if fixed is None else [fixed])
-        factors = _in_cone([np.concatenate(group) for group in zip(*points)])
-        if factors is not None:
-            Ls, Rs, *rest = _unstack(factors, len(points))
-            polished = rest[0] if rest else None
-        else:
-            ap, S_new, Ls = backtrack(S, ds, ap)
-            ad, Z_new, Rs = backtrack(Z, dz, ad)
+        # cone.  The factors of the accepted points, the polished Z when it
+        # passed, are the next iteration's L and R
+        for _ in range(40):
+            S_new = [_sym(s + ap * d) for s, d in zip(S, ds)]
+            Z_new = [_sym(z + ad * d) for z, d in zip(Z, dz)]
             fixed = polish(Z_new)
-            polished = None if fixed is None else _in_cone(fixed)
-
+            points = [S_new, Z_new] + ([] if fixed is None else [fixed])
+            factors = _in_cone([np.concatenate(group) for group in zip(*points)])
+            if factors is None and fixed is not None:
+                points = points[:2]
+                factors = _in_cone([np.concatenate(group) for group in zip(*points)])
+            if factors is not None:
+                break
+            ap, ad = 0.8 * ap, 0.8 * ad
+        else:
+            status, reason = SolveStatus.NUMERICAL_FAILURE, "numerical"
+            break
+        Ls, *Rs = _unstack(factors, len(points))
         x = x + ap * dx
-        S, Z = S_new, Z_new
-        if polished is not None:
-            Z, Rs = fixed, polished
+        S, Z, Rs = S_new, points[-1], Rs[-1]
 
     else:
         # max_iter exhausted: account for the final step before reporting

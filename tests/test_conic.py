@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import tvbound
+from tvbound import conic
 from tvbound.conic import (
     ConicProgram,
     PsdBlock,
@@ -207,7 +214,8 @@ def test_iteration_factors_each_iterate_once(monkeypatch):
     # (S, Z and the polished Z together) with one Cholesky; the next
     # iteration reuses the factors of that check, and each step-length pair
     # takes one eigen-solve.  The per-solve allowance covers the Gram of the
-    # dual projection and the rare backtracking
+    # dual projection and the rare retry of the check, without the polished
+    # Z or with a shrunk step
     counts = dict.fromkeys(("cholesky", "eigvalsh", "svd"), 0)
     for name in counts:
         def counted(*args, _call=getattr(np.linalg, name), _name=name, **kwargs):
@@ -223,6 +231,47 @@ def test_iteration_factors_each_iterate_once(monkeypatch):
     assert counts["cholesky"] <= 2 * iterations + 8
     assert counts["eigvalsh"] <= 3 * iterations
     assert counts["svd"] == iterations
+
+
+def test_no_point_in_the_cone_stops_the_solve(monkeypatch):
+    # when no shrink of the step finds a point in the cone, the solve stops
+    # at once, with the iterate it had
+    monkeypatch.setattr(conic, "_in_cone", lambda stacks: None)
+    res = solve(arithmetic_geometric_program())
+    assert (res.status, res.stop_reason) == (SolveStatus.NUMERICAL_FAILURE, "numerical")
+    assert res.iterations == 0
+
+
+# levels whose <S, Z>, summed over the stacks, cancels to exactly 0.0 under
+# some OpenBLAS kernels, which the sigma rule divided by; the random pair is
+# random3-2 of the benchmark's atomic pairs
+_KERNEL_LEVELS = """
+from tvbound.measures import Atomic
+from tvbound.relaxation import HierarchySettings, solve_hierarchy
+
+dirac = Atomic.univariate([0.0], [1.0]), Atomic.univariate([1e-3], [1.0])
+pair = (Atomic.univariate([-1.9743644693427593, 1.0905968049015544],
+                          [0.6160499404852712, 0.3839500595147289]),
+        Atomic.univariate([-1.2499691370888604, -0.72127345486934],
+                          [0.7453595509554045, 0.25464044904459543]))
+for (mu, nu), levels, certify in ((dirac, [3, 7], False), (dirac, [3, 7], True),
+                                  (pair, [8], True)):
+    for res in solve_hierarchy(mu, nu, levels, HierarchySettings(certify=certify)):
+        print(res.status.value)
+"""
+
+
+@pytest.mark.parametrize("kernel", ["Prescott", "SandyBridge"])
+def test_sigma_rule_under_other_blas_kernels(kernel):
+    src = str(Path(tvbound.__file__).resolve().parent.parent)
+    env = dict(os.environ, OPENBLAS_CORETYPE=kernel, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _KERNEL_LEVELS], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    statuses = proc.stdout.split()
+    assert len(statuses) == 5
+    assert set(statuses) <= {s.value for s in SolveStatus}
 
 
 def test_stop_reason_names_each_exit():

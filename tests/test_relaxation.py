@@ -165,6 +165,13 @@ def test_no_optimal_bound_above_total_variation(mu, nu, at_most_two):
                 assert res.rho <= 2.0, (n, res.rho)
 
 
+def test_exponential_level_9_converges():
+    settings = HierarchySettings()
+    (res,) = solve_hierarchy(Exponential(1.0), Exponential(2.0), [9], settings)
+    assert res.status == SolveStatus.OPTIMAL
+    assert res.rho <= 0.5 + settings.accept_tol
+
+
 def test_reduced_blocks_have_no_constant_kernel(monkeypatch):
     # past exactness the kernel face of these pairs keeps a free variable,
     # and each of its blocks has a constant kernel that assemble drops, so
