@@ -14,8 +14,9 @@ Nesterov-Todd scaled predictor-corrector method, and ``solve`` scatters the
 duals back to input block order and shape.  The solver restricts nothing to
 a face: no block may have a constant kernel (see ``solve``).  The core
 solves each Newton system in NT-scaled coordinates, where S and Z are the
-same diagonal matrix: the complementarity terms, the step-length matrices
-and the corrector are then entrywise products, and no matrix is inverted.
+same diagonal matrix: the complementarity terms and the step-length
+matrices are then entrywise products, the corrector's Lyapunov equation is
+solved entrywise, and no matrix is inverted.
 The affine map, its adjoint, the dual projection and the Schur complement
 are a few matmuls per group.  Each iterate is factored once, by the cone
 check that accepts it, and each step-length pair is one eigen-solve, so a
@@ -273,8 +274,10 @@ def _solve_cone(c, f0, coeffs, settings: SolverSettings):
     its inverse G^-1 = diag(sig)^-1/2 U^T R^T (``_nt_scaling``), with
     G^-1 S G^-T = G^T Z G = diag(sig).  The Newton step is solved in those
     coordinates, where each F_i is P_i = G^-1 F_i G^-T and the Schur matrix
-    is M = P P^T: a primal direction is rp + sum_i dx_i P_i, the dual one
-    follows entrywise, and the corrector is sym(ds dz diag(sig)^-1).  Each
+    is M = P P^T: a primal direction is rp + sum_i dx_i P_i and the dual one
+    follows entrywise.  The corrector X is the exact solution of the scaled
+    Lyapunov equation D X + X D = ds dz + dz ds, D = diag(sig), for the
+    predictor's ds and dz: X_ij = sym(ds dz)_ij / ((sig_i + sig_j) / 2).  Each
     step-length pair takes one eigen-solve per group, on the stacked
     diag(sig)^-1/2 ds diag(sig)^-1/2 and the same for dz.  The chosen
     direction goes back to the unscaled frame once per iteration,
@@ -474,7 +477,7 @@ def _solve_cone(c, f0, coeffs, settings: SolverSettings):
         ap_a, ad_a = step_lengths(ds_a, dz_a)
         gap_aff = float((diag + ap_a * ds_a) @ (diag + ad_a * dz_a))
         sigma = min(0.99, max(1e-8, (max(gap_aff, 0.0) / gap_abs) ** 3))
-        corr = flat([_sym((a @ b) / v[:, None, :])
+        corr = flat([_sym(a @ b) / (0.5 * (v[:, :, None] + v[:, None, :]))
                      for a, b, v in zip(split(ds_a), split(dz_a), sig)])
         dx, ds, dz = direction(sigma, corr)
         ap, ad = step_lengths(ds, dz)

@@ -233,6 +233,25 @@ def test_iteration_factors_each_iterate_once(monkeypatch):
     assert counts["svd"] == iterations
 
 
+# the nine pairs of the published Gaussian table
+_TABLE_PAIRS = (
+    ((0.0, 0.1), (1.0, 0.1)), ((0.0, 0.2), (1.0, 0.2)), ((0.0, 0.1), (1.0, 0.5)),
+    ((0.0, 0.5), (1.0, 0.5)), ((0.5, 0.1), (1.0, 0.1)), ((0.5, 0.1), (1.0, 0.5)),
+    ((0.8, 0.1), (1.0, 0.1)), ((0.8, 0.05), (1.0, 0.1)), ((0.8, 0.05), (1.0, 0.01)),
+)
+
+
+def test_golden_table_iteration_budget():
+    # the corrector solves the scaled Lyapunov equation exactly, entry (i, j)
+    # divided by (sig_i + sig_j) / 2; the one-sided form it replaced
+    # overweights the entries of small sig_i near degenerate optima and took
+    # 867 iterations over these 36 solves, against about 480 with the exact one
+    iterations = sum(res.solve.iterations
+                     for a, b in _TABLE_PAIRS
+                     for res in solve_hierarchy(Gaussian(*a), Gaussian(*b), [1, 2, 3, 4]))
+    assert iterations <= 520
+
+
 def test_no_point_in_the_cone_stops_the_solve(monkeypatch):
     # when no shrink of the step finds a point in the cone, the solve stops
     # at once, with the iterate it had

@@ -172,6 +172,18 @@ def test_exponential_level_9_converges():
     assert res.rho <= 0.5 + settings.accept_tol
 
 
+def test_close_diracs_level_7_converges():
+    # random1-1 of the benchmark's atomic pairs: its start point carries a
+    # dual residual near 1e12, and with the one-sided corrector the solve
+    # ended MaxIter with both step lengths below 1e-3 from iteration 9
+    settings = HierarchySettings()
+    mu = Atomic.univariate([-0.23849138113686408], [1.0])
+    nu = Atomic.univariate([-0.0004167452494119317], [1.0])
+    (res,) = solve_hierarchy(mu, nu, [7], settings)
+    assert res.status == SolveStatus.OPTIMAL
+    assert abs(res.rho - 2.0) <= settings.accept_tol
+
+
 def test_reduced_blocks_have_no_constant_kernel(monkeypatch):
     # past exactness the kernel face of these pairs keeps a free variable,
     # and each of its blocks has a constant kernel that assemble drops, so
