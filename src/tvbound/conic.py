@@ -12,9 +12,11 @@ one (g, s, s) array and its F_ki as one (m, g, s, s) array.  Every program
 with a variable goes through one cone-only core on these stacks, a
 Nesterov-Todd scaled predictor-corrector method, and ``solve`` scatters the
 duals back to input block order and shape.  The solver restricts nothing to
-a face: no block may have a constant kernel (see ``solve``).  The core
-solves each Newton system in NT-scaled coordinates, where S and Z are the
-same diagonal matrix: the complementarity terms and the step-length
+a face: a block may have a constant kernel, a vector that F_k0 and every
+F_ki annihilate, so that the program has no strictly feasible point.  The
+core starts infeasible and needs none, so it runs such a block as it is.
+It solves each Newton system in NT-scaled coordinates, where S and Z are
+the same diagonal matrix: the complementarity terms and the step-length
 matrices are then entrywise products, the corrector's Lyapunov equation is
 solved entrywise, and no matrix is inverted.
 The affine map, its adjoint, the dual projection and the Schur complement
@@ -118,9 +120,10 @@ class SolverSettings:
     gap.  ``accept_tol`` (defaults to ``tol``) is the fallback: if the target
     is not reached within ``max_iter`` but the best iterate meets
     ``accept_tol``, the solve still counts as Optimal at that accuracy; the
-    reported residuals are always the achieved ones.  ``tol`` must be
-    positive and finite and ``max_iter`` at least 1; other values raise
-    ``ValueError``, since no solve could meet them honestly.
+    reported residuals are always the achieved ones.  ``tol`` and a given
+    ``accept_tol`` must be positive and finite and ``max_iter`` at least 1;
+    other values raise ``ValueError``, since no solve could meet them
+    honestly.
     """
 
     tol: float = 1e-8
@@ -130,6 +133,8 @@ class SolverSettings:
     def __post_init__(self):
         if not 0.0 < self.tol < np.inf:
             raise ValueError(f"tol must be positive and finite, not {self.tol!r}")
+        if self.accept_tol is not None and not 0.0 < self.accept_tol < np.inf:
+            raise ValueError(f"accept_tol must be positive and finite, not {self.accept_tol!r}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, not {self.max_iter!r}")
 
@@ -260,12 +265,11 @@ def _solve_cone(c, f0, coeffs, settings: SolverSettings):
     """NT-scaled predictor-corrector on the block-diagonal PSD cone.
 
     Takes the blocks as ``solve`` stacks them (see the module docstring),
-    with at least one variable and, by the precondition of ``solve``, no
-    constant kernel.  Returns the status, the stop reason, the record of the
-    best iterate (its duals ``Z`` as the same stacks) and the iteration
-    count.  The gap score is the larger of <S, Z> and |pobj - dobj|: the
-    latter also carries <rp, Z> + rd.x, so a dual objective that runs off
-    while the residuals look small does not pass.
+    with at least one variable.  Returns the status, the stop reason, the
+    record of the best iterate (its duals ``Z`` as the same stacks) and the
+    iteration count.  The gap score is the larger of <S, Z> and
+    |pobj - dobj|: the latter also carries <rp, Z> + rd.x, so a dual
+    objective that runs off while the residuals look small does not pass.
 
     The strict Cholesky factors of the cone check that accepted S and Z
     (symmetrized before it, so they are the iterate's own) are the next
@@ -543,11 +547,6 @@ def solve(program: ConicProgram, settings: SolverSettings | None = None) -> Solv
     variable has the one point F_0, which is tested directly; any other runs
     ``_solve_cone``.  Either way one iterate record comes out, and it is
     turned into the result here, its duals scattered back with ``_scatter``.
-
-    Precondition: when the program has a variable, no block may have a
-    constant kernel, a vector that F_k0 and every F_ki annihilate.  Such a
-    block has no interior point, which the interior-point core assumes;
-    restrict the program to the face first, as ``relaxation.assemble`` does.
     """
     settings = settings or SolverSettings()
     positions, f0, coeffs = _group(program.blocks)

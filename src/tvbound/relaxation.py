@@ -23,12 +23,12 @@ Numerics.  Three exact reformulations precondition the solve:
   congruence and changes nothing mathematically;
 * when the data moment matrices are exactly singular (atomic inputs at or
   above the exactness level), the feasible set lies on a face of the cone,
-  which ``kernel_reduce`` restricts to in two steps.  It compresses the
-  blocks onto the complement of those kernels and parametrizes the phi that
-  annihilate them as phi = x0 + N z, so the solver's variable is z.  That
-  face need not be the minimal one: when a variable is left, it then drops
-  the constant kernel each block still has, which restores strict
-  feasibility.  The conic program it returns is the one the solver runs.
+  which ``kernel_reduce`` restricts to in one facial-reduction step.  It
+  compresses the blocks onto the complement of those kernels and
+  parametrizes the phi that annihilate them as phi = x0 + N z, so the
+  solver's variable is z.  That face need not be the minimal one: a block
+  may keep a constant kernel, which the interior-point solver handles as it
+  is.  The conic program it returns is the one the solver runs.
 """
 
 from __future__ import annotations
@@ -119,10 +119,10 @@ class RelaxationProblem:
     the fourth LMI, M(nu) - M(psi), is the same matrix as M(mu) - M(phi).
     ``equilibrations`` holds the diagonal congruence applied to each solver
     block; block duals must be conjugated back by it before any certificate
-    use.  On a reduced program the blocks are compressed onto the kernel
-    face, with no constant kernel left when a variable is, and the variable
-    is z in phi = x0 + null_basis @ z; otherwise ``x0`` and ``null_basis``
-    are None and the variable is phi itself.
+    use.  On a reduced program the blocks are compressed onto the
+    complement of the data kernels, of orders the data ranks, and the
+    variable is z in phi = x0 + null_basis @ z; otherwise ``x0`` and
+    ``null_basis`` are None and the variable is phi itself.
     """
 
     dim: int
@@ -158,8 +158,8 @@ def _exact_kernel(mat: np.ndarray):
     return v[:, keep], kernel
 
 
-# singular values at or below this share of the largest count as zero, both
-# in the kernel rows of ``_null_space`` and in the constant kernels of blocks
+# singular values at or below this share of the largest count as zero in
+# the kernel rows of ``_null_space``
 _RANK_TOL = 1e-8
 
 
@@ -173,28 +173,6 @@ def _null_space(a: np.ndarray) -> np.ndarray:
     _, sv, vt = np.linalg.svd(a / np.where(norms > 0, norms, 1.0),
                               full_matrices=a.shape[0] < a.shape[1])
     return vt[int((sv > _RANK_TOL * sv[:1]).sum()):].T
-
-
-def _drop_constant_kernel(f0: np.ndarray, coeffs: np.ndarray):
-    """Compress a block F_0 + sum_i z_i F_i onto the complement of its
-    constant kernel.
-
-    The constant kernel, the common null space of F_0 and all F_i, is
-    annihilated at every z, so a block that has one has no interior point.
-    It is found with one thin SVD of the block's matrices stacked with unit
-    Frobenius norms, ranked by ``_RANK_TOL``.  With an orthonormal basis Q
-    of the complement the block becomes Q^T F_0 Q + sum_i z_i Q^T F_i Q.  A
-    block without a kernel, or of zeros only, is returned as it is.
-    """
-    mats = np.concatenate([f0[None], coeffs])
-    norms = np.sqrt((mats * mats).sum(axis=(1, 2), keepdims=True))
-    scaled = (mats / np.where(norms > 0, norms, 1.0)).reshape(-1, f0.shape[0])
-    _, sv, vt = np.linalg.svd(scaled, full_matrices=False)
-    rank = int((sv > _RANK_TOL * sv[0]).sum())
-    if not 0 < rank < f0.shape[0]:
-        return f0, coeffs
-    q = vt[:rank].T
-    return _sym(q.T @ f0 @ q), _sym(q.T @ coeffs @ q)
 
 
 def _level_inputs(mu: MomentSequence, nu: MomentSequence, n: int):
@@ -283,9 +261,6 @@ def assemble(
                      _sym(np.tensordot(null_basis.T, coeffs, axes=1)))
                     for f0, coeffs in block_data
                 ]
-                # a pinned program keeps its one point for the solver to test
-                if null_basis.shape[1]:
-                    block_data = [_drop_constant_kernel(*blk) for blk in block_data]
                 offset += float(c @ x0)
                 c = null_basis.T @ c
 

@@ -32,7 +32,7 @@ def test_wrapped_attributes_resolve():
 
 
 # ops run besides each workload's first: EX3 n=4 has one free variable and
-# blocks whose constant kernels assemble drops, and in EX1 n=4 the kernel
+# blocks that keep a constant kernel on the kernel face, and in EX1 n=4 that
 # face leaves no variable at all
 EXTRA_OPS = {"atomic_exact": ("EX1 n=4", "EX3 n=4")}
 

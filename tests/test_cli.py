@@ -315,8 +315,10 @@ def test_exact_does_not_warn_about_undersampling(tmp_path, capsys):
     [GAUSS_ROW],
     dict(GAUSS_ROW, solver={"max_iter": 0}),
     dict(GAUSS_ROW, solver={"tol": -1}),
+    dict(GAUSS_ROW, solver={"max_iter": 3, "accept_tol": "inf"}),
 ], ids=["tol-not-a-number", "seed-not-a-number", "solver-not-an-object",
-        "unknown-solver-key", "config-not-an-object", "max-iter-zero", "tol-negative"])
+        "unknown-solver-key", "config-not-an-object", "max-iter-zero", "tol-negative",
+        "accept-tol-infinite"])
 def test_malformed_config_is_a_config_error(tmp_path, capsys, payload):
     assert main(["bound", "--config", write_config(tmp_path, payload)]) == 3
     assert capsys.readouterr().err.startswith("config error:")

@@ -19,7 +19,6 @@ from tvbound.conic import (
 from tvbound.measures import Atomic, Gaussian, moments
 from tvbound.relaxation import (
     HierarchySettings,
-    _drop_constant_kernel,
     assemble,
     solve_hierarchy,
     variable_map_for,
@@ -181,7 +180,9 @@ def test_determinism_bit_identical():
 
 
 @pytest.mark.parametrize("bad", [dict(tol=0.0), dict(tol=-1.0), dict(tol=float("nan")),
-                                 dict(tol=float("inf")), dict(max_iter=0), dict(max_iter=-3)])
+                                 dict(tol=float("inf")), dict(max_iter=0), dict(max_iter=-3),
+                                 dict(accept_tol=0.0), dict(accept_tol=-1e-4),
+                                 dict(accept_tol=float("nan")), dict(accept_tol=float("inf"))])
 def test_settings_refuse_targets_no_solve_can_meet(bad):
     with pytest.raises(ValueError):
         SolverSettings(**bad)
@@ -315,9 +316,9 @@ def test_no_nan_on_optimal():
 
 def padded_arithmetic_geometric_program(pinned):
     # the arithmetic/geometric block with a zero row and column: S(x) has a
-    # constant kernel, so the program has no interior point until it is
-    # dropped.  Pinned, x1 = 2 is substituted: min 2 + x2 over
-    # [[2, 1], [1, x2]] psd, whose optimum 2.5 is at x2 = 1/2
+    # constant kernel, so the program has no strictly feasible point.
+    # Pinned, x1 = 2 is substituted: min 2 + x2 over [[2, 1], [1, x2]] psd,
+    # whose optimum 2.5 is at x2 = 1/2
     base = arithmetic_geometric_program()
     f0 = np.pad(base.blocks[0].f0, ((0, 1), (0, 1)))
     coeffs = np.pad(base.blocks[0].coeffs, ((0, 0), (0, 1), (0, 1)))
@@ -327,28 +328,20 @@ def padded_arithmetic_geometric_program(pinned):
     return ConicProgram(c=base.c[1:], blocks=(block,), offset=2.0)
 
 
-# alone the optimum is 2; with x1 = 2 pinned it is 2.5, with one free variable.
-# solve requires blocks without a constant kernel, so the padded block goes
-# through the drop that assemble runs: a congruence onto the complement of
-# the zero row and column, after which the block order is 2 and the dual is
-# the reduced block's
+# alone the optimum is 2; with x1 = 2 pinned it is 2.5, with one free
+# variable.  The solver runs the padded block as it is, with no restriction
+# to the face, and its dual is of the padded order
 @pytest.mark.parametrize("pinned, optimum", [(False, 2.0), (True, 2.5)])
-def test_constant_kernel_is_dropped(pinned, optimum):
+def test_constant_kernel_block_is_solved_as_it_is(pinned, optimum):
     prog = padded_arithmetic_geometric_program(pinned)
     (blk,) = prog.blocks
-    f0, coeffs = _drop_constant_kernel(blk.f0, blk.coeffs)
-    assert f0.shape == (2, 2) and coeffs.shape == (prog.n_vars, 2, 2)
-    reduced = ConicProgram(c=prog.c, blocks=(PsdBlock(f0, coeffs),), offset=prog.offset)
-    res = solve(reduced)
+    res = solve(prog)
     assert res.status == SolveStatus.OPTIMAL
     assert res.objective == pytest.approx(optimum, abs=1e-6)
-    # the padded S(x) is the reduced one plus its constant kernel
-    padded = np.linalg.eigvalsh(blk.f0 + np.tensordot(res.x, blk.coeffs, axes=1))
-    kept = np.linalg.eigvalsh(f0 + np.tensordot(res.x, coeffs, axes=1))
-    assert np.allclose(padded, np.sort(np.append(kept, 0.0)), atol=1e-12)
+    assert res.dual_objective == pytest.approx(optimum, abs=1e-6)
     (z,) = res.block_duals
-    assert z.shape == (2, 2)
-    stationarity = prog.c - np.tensordot(coeffs, z, axes=2)
+    assert z.shape == (3, 3)
+    stationarity = prog.c - np.tensordot(blk.coeffs, z, axes=2)
     assert np.allclose(stationarity, 0.0, atol=1e-6)
 
 

@@ -125,7 +125,7 @@ def test_hierarchy_discrete_table():
 def test_hierarchy_close_atoms_above_exactness():
     # four atoms against four sharing the atom 0.3 (TV 1.5): with the kernel
     # reduction on, every level past exactness keeps a free variable whose
-    # blocks still have a constant kernel
+    # blocks still have a constant kernel, which the solver runs as it is
     mu = Atomic.univariate([0.0, 0.3, 0.4, 0.9], [0.25] * 4)
     nu = Atomic.univariate([0.3, 0.6, 0.7, 1.2], [0.25] * 4)
     settings = HierarchySettings()
@@ -184,12 +184,13 @@ def test_close_diracs_level_7_converges():
     assert abs(res.rho - 2.0) <= settings.accept_tol
 
 
-def test_reduced_blocks_have_no_constant_kernel(monkeypatch):
-    # past exactness the kernel face of these pairs keeps a free variable,
-    # and each of its blocks has a constant kernel that assemble drops, so
-    # the interior-point core runs exactly the assembled blocks
+def test_reduced_blocks_have_the_data_ranks(monkeypatch):
+    # past exactness the kernel face of these pairs keeps a free variable.
+    # assemble compresses each block onto the range of its data matrix, so
+    # the block orders are the ranks of M(mu), M(mu) and M(nu), and the
+    # interior-point core runs exactly the assembled blocks, with whatever
+    # constant kernel they keep
     from tvbound import conic
-    from tvbound.relaxation import _RANK_TOL
 
     received = []
     original = conic._solve_cone
@@ -201,26 +202,19 @@ def test_reduced_blocks_have_no_constant_kernel(monkeypatch):
     monkeypatch.setattr(conic, "_solve_cone", spy)
     cases = (
         (Atomic.univariate([-1.0, 0.0, 1.0, 2.0], [0.25] * 4),
-         Atomic.univariate([-2.0, -1.0, 0.1, 1.5], [0.25] * 4), (4, 5, 6), [4, 1, 4]),
+         Atomic.univariate([-2.0, -1.0, 0.1, 1.5], [0.25] * 4), (4, 5, 6), [4, 4, 4]),
         (Atomic.univariate([0.0, 0.3, 0.4, 0.9], [0.25] * 4),
-         Atomic.univariate([0.3, 0.6, 0.7, 1.2], [0.25] * 4), (4, 5, 6), [4, 1, 4]),
+         Atomic.univariate([0.3, 0.6, 0.7, 1.2], [0.25] * 4), (4, 5, 6), [4, 4, 4]),
         (Atomic.univariate([-1.0, 1.0], [0.6, 0.4]),
-         Atomic.univariate([-1.0, 0.2, 1.3], [0.3, 0.4, 0.3]), (3, 4, 5), [2, 1, 3]),
+         Atomic.univariate([-1.0, 0.2, 1.3], [0.3, 0.4, 0.3]), (3, 4, 5), [2, 2, 3]),
     )
     settings = HierarchySettings()
     for mu, nu, levels, orders in cases:
         tv = exact_tv_atomic(mu, nu)
         received.clear()
         for res in solve_hierarchy(mu, nu, levels, settings):
-            blocks = res.problem.program.blocks
             assert res.problem.reduced and res.problem.program.n_vars > 0
-            assert [blk.size for blk in blocks] == orders, res.level
-            for blk in blocks:
-                mats = np.concatenate([blk.f0[None], blk.coeffs])
-                norms = np.linalg.norm(mats, axis=(1, 2), keepdims=True)
-                stacked = (mats / np.where(norms > 0, norms, 1.0)).reshape(-1, blk.size)
-                sv = np.linalg.svd(stacked, compute_uv=False)
-                assert sv[-1] > _RANK_TOL * sv[0], res.level
+            assert [blk.size for blk in res.problem.program.blocks] == orders, res.level
             assert res.status == SolveStatus.OPTIMAL, res.level
             assert abs(res.rho - tv) <= settings.accept_tol, res.level
         # the solver stacks the blocks by order, in order of first appearance

@@ -23,7 +23,9 @@ second form lists the rows of two such files that differ, then sums them up
 per group (``bench/gaussian_table``, ``bench/atomic_exact``,
 ``bench/certified``, ``wide``): the status counts and IPM iteration totals
 of each file, the benchmark ops that failed (not Optimal, or an error
-text), and every row whose status changed.  It exits 1 if any row differs.
+text), every row whose status changed, the largest |delta rho| over the
+rows Optimal on both sides, and every such row whose rho moved by more than
+1e-4 (the default ``accept_tol``).  It exits 1 if any row differs.
 To fingerprint an older commit, export it (``git archive``) and pass its
 directory as ``--root``.  A run takes under a minute on one core.
 """
@@ -112,6 +114,9 @@ def _read(path: Path) -> dict:
 
 
 GROUPS = ("bench/gaussian_table", "bench/atomic_exact", "bench/certified", "wide")
+# a rho that moves by more than this, the default ``accept_tol``, on a row
+# Optimal on both sides is listed
+RHO_MOVED = 1e-4
 
 
 def _fields(row) -> list:
@@ -123,7 +128,8 @@ def _fields(row) -> list:
 def summarize(a: Path, b: Path, left: dict, right: dict) -> None:
     """Per group: each file's status counts, iteration total and failed
     benchmark ops (not Optimal, or an error text), then every row whose
-    status changed."""
+    status changed, the largest |delta rho| over the rows Optimal on both
+    sides, and every such row whose rho moved by more than ``RHO_MOVED``."""
     keys = list(left) + [k for k in right if k not in left]
     for group in GROUPS:
         mine = [k for k in keys if k.startswith(group + "/")]
@@ -136,10 +142,19 @@ def summarize(a: Path, b: Path, left: dict, right: dict) -> None:
             for key, f in fields.items():
                 if len(f) > 5 and (f[0] != "Optimal" or f[5]):
                     print(f"    failed {key}: {f[0]} {f[5]}".rstrip())
+        moved = {}
         for key in mine:
             old, new = _fields(left.get(key)), _fields(right.get(key))
             if old[0] != new[0]:
                 print(f"  status {key}: {old[0]} -> {new[0]} ({old[2]} -> {new[2]} iterations)")
+            elif old[0] == "Optimal":
+                moved[key] = (float.fromhex(old[1]), float.fromhex(new[1]))
+        if moved:
+            worst = max(abs(new_rho - old_rho) for old_rho, new_rho in moved.values())
+            print(f"  largest |delta rho| over {len(moved)} rows Optimal on both: {worst:.3g}")
+        for key, (old_rho, new_rho) in moved.items():
+            if abs(new_rho - old_rho) > RHO_MOVED:
+                print(f"  rho {key}: {old_rho!r} -> {new_rho!r}")
 
 
 def compare(a: Path, b: Path) -> int:
