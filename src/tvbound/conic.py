@@ -7,26 +7,30 @@ Problem form:
 
 Everything is dense: the target problems have a handful of blocks of size
 <= ~15 and tens of variables, where an iteration costs calls, not flops.  So
-``solve`` stacks the blocks of equal order once: each group holds its F_k0 as
-one (g, s, s) array and its F_ki as one (m, g, s, s) array.  Every program
-with a variable goes through one cone-only core on these stacks, a
-Nesterov-Todd scaled predictor-corrector method, and ``solve`` scatters the
-duals back to input block order and shape.  The solver restricts nothing to
-a face: a block may have a constant kernel, a vector that F_k0 and every
-F_ki annihilate, so that the program has no strictly feasible point.  The
-core starts infeasible and needs none, so it runs such a block as it is.
-It solves each Newton system in NT-scaled coordinates, where S and Z are
-the same diagonal matrix: the complementarity terms and the step-length
-matrices are then entrywise products, the corrector's Lyapunov equation is
-solved entrywise, and no matrix is inverted.
-The affine map, its adjoint, the dual projection and the Schur complement
-are a few matmuls per group.  Each iterate is factored once, by the cone
-check that accepts it, and each step-length pair is one eigen-solve, so a
-typical iteration makes one SVD (the scaling), one Cholesky (the cone check)
-and two or three eigen-solves per group, one Cholesky of the Schur matrix,
-three ``dpotrs`` solves per direction and one for the polish; a check that
-the polished Z fails takes one more Cholesky, and each shrink of the step
-repeats the check.
+``solve`` pads every block to the largest order s, with an identity corner
+that no variable touches, and stacks the k blocks once: F_k0 as one
+(k, s, s) array and F_ki as one (m, k, s, s) array.  The padding is exact,
+since [[B(x), 0], [0, I]] is PSD exactly when B(x) is.  Every program with
+a variable goes through one cone-only core on this stack, a Nesterov-Todd
+scaled predictor-corrector method, and ``solve`` returns the leading corner
+of each padded dual as that block's dual.  The corner's dual term,
+-tr(Z_corner), stays in the dual objective, which it can only lower.  The
+solver restricts nothing to a face: a block may have a constant kernel, a
+vector that F_k0 and every F_ki annihilate, so that the program has no
+strictly feasible point.  The core starts infeasible and needs none, so it
+runs such a block as it is.  It solves each Newton system in NT-scaled
+coordinates, where S and Z are the same diagonal matrix: the
+complementarity terms and the step-length matrices are then entrywise
+products, the corrector's Lyapunov equation is solved entrywise, and no
+matrix is inverted.
+The affine map and its adjoint are one matmul each, and the dual
+projection and the Schur complement a few more.  Each iterate is factored
+once, by the cone check that accepts it, and each step-length pair is one
+eigen-solve, whatever the block orders, so a typical iteration makes one
+SVD (the scaling), one Cholesky (the cone check), two or three
+eigen-solves and one Cholesky of the Schur matrix, three ``dpotrs`` solves
+per direction and one for the polish; a check that the polished Z fails
+takes one more Cholesky, and each shrink of the step repeats the check.
 
 All computations are deterministic: identical inputs and settings produce
 bit-identical outputs.
@@ -182,22 +186,6 @@ class SolveResult:
         object.__setattr__(self, "block_duals", duals)
 
 
-def _group(blocks):
-    """Input positions, (g, s, s) F_k0 and (m, g, s, s) F_ki of each order group."""
-    sizes = [blk.size for blk in blocks]
-    positions = [[k for k, s in enumerate(sizes) if s == size] for size in dict.fromkeys(sizes)]
-    f0 = [np.stack([blocks[k].f0 for k in ks]) for ks in positions]
-    coeffs = [np.stack([blocks[k].coeffs for k in ks], axis=1) for ks in positions]
-    return positions, f0, coeffs
-
-
-def _scatter(positions, stacks) -> tuple:
-    """Symmetric parts of stacked duals, one per input block, in input order."""
-    order = sum(positions, [])
-    stacked = [z for stack in stacks for z in stack]
-    return tuple(_sym(stacked[j]) for j in np.argsort(order))
-
-
 def _chol(a: np.ndarray):
     """Cholesky factor of a matrix, with a jitter ladder; None on failure."""
     try:
@@ -213,10 +201,10 @@ def _chol(a: np.ndarray):
     return None
 
 
-def _in_cone(stacks):
-    """Strict Cholesky factors of every stack, or None if any matrix has none."""
+def _in_cone(stack: np.ndarray):
+    """Strict Cholesky factors of a stack, or None if any matrix has none."""
     try:
-        return [np.linalg.cholesky(a) for a in stacks]
+        return np.linalg.cholesky(stack)
     except np.linalg.LinAlgError:
         return None
 
@@ -232,26 +220,9 @@ def _nt_scaling(chol_l: np.ndarray, chol_r: np.ndarray):
     return (chol_l @ vt.swapaxes(1, 2)) / root, (u / root).swapaxes(1, 2) @ rt, sig
 
 
-def _data_scale(f0) -> float:
+def _data_scale(f0: np.ndarray) -> float:
     """max(1, largest Frobenius norm of a single F_k0)."""
-    return max(1.0, max(np.linalg.norm(a) for f in f0 for a in f))
-
-
-def _unstack(stacks, parts: int) -> list:
-    """Undo a per-group concatenation of ``parts`` equal stacks: one list of
-    group stacks per part."""
-    sizes = [len(a) // parts for a in stacks]
-    return [[a[k * g:(k + 1) * g] for a, g in zip(stacks, sizes)] for k in range(parts)]
-
-
-def _inner(a, b) -> float:
-    """Trace inner product summed over the stacks of two block lists."""
-    return sum(float(np.vdot(p, q)) for p, q in zip(a, b))
-
-
-def _fro_max(stacks) -> float:
-    """Largest Frobenius norm of a single block."""
-    return max(float(np.sqrt((a * a).sum(axis=(1, 2)).max())) for a in stacks)
+    return max(1.0, max(np.linalg.norm(a) for a in f0))
 
 
 # iterations without halving the best score after which a solve whose best
@@ -264,25 +235,27 @@ _STEP_FRACTION = 0.98
 def _solve_cone(c, f0, coeffs, settings: SolverSettings):
     """NT-scaled predictor-corrector on the block-diagonal PSD cone.
 
-    Takes the blocks as ``solve`` stacks them (see the module docstring),
-    with at least one variable.  Returns the status, the stop reason, the
-    record of the best iterate (its duals ``Z`` as the same stacks) and the
-    iteration count.  The gap score is the larger of <S, Z> and
-    |pobj - dobj|: the latter also carries <rp, Z> + rd.x, so a dual
-    objective that runs off while the residuals look small does not pass.
+    Takes the blocks as ``solve`` stacks them (see the module docstring): a
+    (k, s, s) F_0 and an (m, k, s, s) F_i, with at least one variable.  S, Z,
+    the residual, every direction and the duals are (k, s, s) stacks or
+    their flat views.  Returns the status, the stop reason, the record of
+    the best iterate (its duals ``Z`` as one such stack) and the iteration
+    count.  The gap score is the larger of <S, Z> and |pobj - dobj|: the
+    latter also carries <rp, Z> + rd.x, so a dual objective that runs off
+    while the residuals look small does not pass.
 
     The strict Cholesky factors of the cone check that accepted S and Z
     (symmetrized before it, so they are the iterate's own) are the next
-    iteration's L and R, so no iterate is factored afresh.  One SVD per group,
-    R^T L = U diag(sig) V^T, gives the NT scaling G = L V diag(sig)^-1/2 and
-    its inverse G^-1 = diag(sig)^-1/2 U^T R^T (``_nt_scaling``), with
+    iteration's L and R, so no iterate is factored afresh.  One SVD of the
+    stack R^T L = U diag(sig) V^T gives the NT scaling G = L V diag(sig)^-1/2
+    and its inverse G^-1 = diag(sig)^-1/2 U^T R^T (``_nt_scaling``), with
     G^-1 S G^-T = G^T Z G = diag(sig).  The Newton step is solved in those
     coordinates, where each F_i is P_i = G^-1 F_i G^-T and the Schur matrix
     is M = P P^T: a primal direction is rp + sum_i dx_i P_i and the dual one
     follows entrywise.  The corrector X is the exact solution of the scaled
     Lyapunov equation D X + X D = ds dz + dz ds, D = diag(sig), for the
     predictor's ds and dz: X_ij = sym(ds dz)_ij / ((sig_i + sig_j) / 2).  Each
-    step-length pair takes one eigen-solve per group, on the stacked
+    step-length pair is one eigen-solve, on the stacked
     diag(sig)^-1/2 ds diag(sig)^-1/2 and the same for dz.  The chosen
     direction goes back to the unscaled frame once per iteration,
     dS = G ds G^T and dZ = G^-T dz G^-1, for the cone check and the polish
@@ -294,9 +267,9 @@ def _solve_cone(c, f0, coeffs, settings: SolverSettings):
     * every step is verified by a strict Cholesky at the candidate point and
       shrunk on failure, since max-step estimates from ill-conditioned
       factors can overshoot the cone boundary.  Each try checks S, Z and the
-      polished Z (below) in one call per group, and if that fails, S and Z
-      alone, which drops the polish.  If that fails too, both step lengths
-      shrink by 0.8; after 40 tries the solve stops as ``numerical``;
+      polished Z (below) in one call, and if that fails, S and Z alone,
+      which drops the polish.  If that fails too, both step lengths shrink
+      by 0.8; after 40 tries the solve stops as ``numerical``;
     * the dual is kept on the affine dual-feasibility manifold by one
       least-change projection along the F_i (its Gram matrix is constant).
       Every dual direction is projected so that adjoint(dZ) = c - adjoint(Z)
@@ -316,72 +289,61 @@ def _solve_cone(c, f0, coeffs, settings: SolverSettings):
       move the score within its rounding noise.
     """
     m = c.shape[0]
-    ops = [f.reshape(m, -1) for f in coeffs]
-    total_dim = sum(f.shape[0] * f.shape[1] for f in f0)
+    k, s = f0.shape[:2]
+    op = coeffs.reshape(m, -1)
     data_norm = _data_scale(f0)
     c_norm = 1.0 + np.linalg.norm(c)
-    # the scaled iteration keeps each group's matrices as one flat slice
-    ends = np.cumsum([0] + [f.size for f in f0])
-    slices = [(slice(a, b), f.shape) for a, b, f in zip(ends, ends[1:], f0)]
-
-    def split(v):
-        """Per-group (g, s, s) views of a flat vector of scaled matrices."""
-        return [v[part].reshape(shape) for part, shape in slices]
-
-    def flat(stacks):
-        return np.concatenate([a.reshape(-1) for a in stacks])
 
     def linear(x):
-        return [(x @ op).reshape(f.shape) for f, op in zip(f0, ops)]
+        return (x @ op).reshape(f0.shape)
 
-    def adjoint(zs):
-        return sum(op @ z.reshape(-1) for op, z in zip(ops, zs))
+    def adjoint(z):
+        return op @ z.reshape(-1)
 
     # constant Gram matrix of the dual-feasibility map, for the projection
-    gram_chol = _chol(_sym(sum(op @ op.T for op in ops)))
+    gram_chol = _chol(_sym(op @ op.T))
 
     def dual_shift(residual):
-        """Coefficients and per-group matrices of the least-change shift
-        sum_i lam_i F_i whose adjoint is ``residual``; None if the Gram is singular."""
+        """Coefficients and matrices of the least-change shift sum_i lam_i F_i
+        whose adjoint is ``residual``; None if the Gram is singular."""
         if gram_chol is None:
             return None
         lam = lapack.dpotrs(gram_chol, residual, lower=1)[0]
         return lam, linear(lam)
 
-    def polish(zs):
-        """zs projected onto adjoint = c, if that shift is small against zs; else None."""
-        shift = dual_shift(c - adjoint(zs))
+    def polish(z):
+        """z projected onto adjoint = c, if that shift is small against z; else None."""
+        shift = dual_shift(c - adjoint(z))
         if shift is None:
             return None
         size = float(np.linalg.norm(shift[0]))
-        if not (np.isfinite(size) and size <= 1e-3 * (1.0 + _fro_max(zs))):
+        largest = float(np.sqrt((z * z).sum(axis=(1, 2)).max()))
+        if not (np.isfinite(size) and size <= 1e-3 * (1.0 + largest)):
             return None
-        return [_sym(z + d) for z, d in zip(zs, shift[1])]
+        return _sym(z + shift[1])
 
     x = np.zeros(m)
+    eye = np.eye(s)
     eta = max(1.0, data_norm ** 0.5)
-    S = [np.tile(eta * np.eye(f.shape[1]), (f.shape[0], 1, 1)) for f in f0]
-    Z = [s.copy() for s in S]
+    S = Z = np.tile(eta * eye, (k, 1, 1))
     # Cholesky factors of S and Z: sqrt(eta) I at the start, which is what
     # the factorization returns there, and then those of the cone check that
     # accepted the iterate
-    Ls = [np.tile(np.sqrt(eta) * np.eye(f.shape[1]), (f.shape[0], 1, 1)) for f in f0]
-    Rs = Ls
+    L = R = np.tile(np.sqrt(eta) * eye, (k, 1, 1))
 
     # the best iterate so far, first a zero point that any finite score beats
-    best = {"score": np.inf, "x": x, "Z": [np.zeros_like(f) for f in f0], "pobj": 0.0,
+    best = {"score": np.inf, "x": x, "Z": np.zeros_like(f0), "pobj": 0.0,
             "dobj": 0.0, "pres": np.inf, "dres": np.inf, "relgap": np.inf}
     status, reason = SolveStatus.MAX_ITER, "max_iter"
     score_history = []
 
     def evaluate(x, S, Z):
-        Sx = [f + d for f, d in zip(f0, linear(x))]
-        rp = [sx - s for sx, s in zip(Sx, S)]
+        rp = f0 + linear(x) - S
         rd = c - adjoint(Z)
-        gap_abs = _inner(S, Z)
+        gap_abs = float(np.vdot(S, Z))
         pobj = float(c @ x)
-        dobj = -_inner(f0, Z)
-        pres = np.sqrt(_inner(rp, rp)) / data_norm
+        dobj = -float(np.vdot(f0, Z))
+        pres = np.sqrt(float(np.vdot(rp, rp))) / data_norm
         dres = np.linalg.norm(rd) / c_norm
         relgap = max(gap_abs, abs(pobj - dobj)) / max(1.0, abs(pobj), abs(dobj))
         # iterates are rebound, never updated in place, so no copies are kept
@@ -419,24 +381,23 @@ def _solve_cone(c, f0, coeffs, settings: SolverSettings):
             status, reason = SolveStatus.INFEASIBLE, "infeasible"
             break
 
-        # NT scaling of each group: in the coordinates G^-1 (.) G^-T for S and
-        # G^T (.) G for Z both iterates are diag(sig), and the scaled F_i,
-        # P_i = G^-1 F_i G^-T, are the rows of one (m, N) matrix P
-        G, Ginv, sig = zip(*(_nt_scaling(lf, rf) for lf, rf in zip(Ls, Rs)))
-        # <S, Z> over the unscaled stacks can cancel to 0 or below near the
-        # optimum; in the scaled frame it is sum(sig**2), which is positive
+        # NT scaling: in the coordinates G^-1 (.) G^-T for S and G^T (.) G
+        # for Z both iterates are diag(sig), and the scaled F_i,
+        # P_i = G^-1 F_i G^-T, are the rows of one (m, k s s) matrix P
+        G, Ginv, sig = _nt_scaling(L, R)
+        # <S, Z> can cancel to 0 or below near the optimum; in the scaled
+        # frame it is sum(sig**2), which is positive
         if gap_abs <= 0.0:
-            gap_abs = _inner(sig, sig)
-        mu = gap_abs / total_dim
-        Gt = [g.swapaxes(1, 2) for g in G]
-        Ginvt = [gi.swapaxes(1, 2) for gi in Ginv]
-        P = np.concatenate([_sym(gi @ f @ git).reshape(m, -1)
-                            for gi, f, git in zip(Ginv, coeffs, Ginvt)], axis=1)
-        rp_s = flat([_sym(gi @ r @ git) for gi, r, git in zip(Ginv, rp, Ginvt)])
-        diag = flat([np.eye(len(v[0])) * v[:, :, None] for v in sig])
-        inv_diag = flat([np.eye(len(v[0])) / v[:, :, None] for v in sig])
+            gap_abs = float(np.vdot(sig, sig))
+        mu = gap_abs / (k * s)
+        Gt, Ginvt = G.swapaxes(1, 2), Ginv.swapaxes(1, 2)
+        P = _sym(Ginv @ coeffs @ Ginvt).reshape(m, -1)
+        rp_s = _sym(Ginv @ rp @ Ginvt).reshape(-1)
+        col, row = sig[:, :, None], sig[:, None, :]
+        diag = (eye * col).reshape(-1)
+        inv_diag = (eye / col).reshape(-1)
         # entrywise form of diag(sig)^-1/2 (.) diag(sig)^-1/2
-        unit = flat([1.0 / np.sqrt(v[:, :, None] * v[:, None, :]) for v in sig])
+        unit = (1.0 / np.sqrt(col * row)).reshape(-1)
 
         # Schur complement  M_ij = <P_i, P_j>
         M = _sym(P @ P.T)
@@ -464,16 +425,15 @@ def _solve_cone(c, f0, coeffs, settings: SolverSettings):
             # The step-length search below keeps the corrected Z in the cone
             shift = dual_shift(rd - P @ dz)
             if shift is not None:
-                dz = dz + flat([_sym(gt @ d @ g) for gt, d, g in zip(Gt, shift[1], G)])
+                dz = dz + _sym(Gt @ shift[1] @ G).reshape(-1)
             return dx, ds, dz
 
         def step_lengths(ds, dz):
             # the largest alpha keeping S + alpha ds PSD is -1 / lambda_min of
             # diag(sig)^-1/2 ds diag(sig)^-1/2, and likewise for Z; one
-            # eigen-solve per group
-            scaled = np.stack([ds, dz]) * unit
-            lams = np.min([np.linalg.eigvalsh(scaled[:, part].reshape(-1, *shape[1:]))
-                           .reshape(2, -1).min(axis=1) for part, shape in slices], axis=0)
+            # eigen-solve for both
+            scaled = (np.stack([ds, dz]) * unit).reshape(-1, s, s)
+            lams = np.linalg.eigvalsh(scaled).reshape(2, -1).min(axis=1)
             return [min(1.0, _STEP_FRACTION * (np.inf if lam >= -1e-14 else -1.0 / lam))
                     for lam in lams.tolist()]
 
@@ -481,8 +441,8 @@ def _solve_cone(c, f0, coeffs, settings: SolverSettings):
         ap_a, ad_a = step_lengths(ds_a, dz_a)
         gap_aff = float((diag + ap_a * ds_a) @ (diag + ad_a * dz_a))
         sigma = min(0.99, max(1e-8, (max(gap_aff, 0.0) / gap_abs) ** 3))
-        corr = flat([_sym(a @ b) / (0.5 * (v[:, :, None] + v[:, None, :]))
-                     for a, b, v in zip(split(ds_a), split(dz_a), sig)])
+        corr = (_sym(ds_a.reshape(f0.shape) @ dz_a.reshape(f0.shape))
+                / (0.5 * (col + row))).reshape(-1)
         dx, ds, dz = direction(sigma, corr)
         ap, ad = step_lengths(ds, dz)
         # fall back to the centered direction without the second-order
@@ -493,8 +453,8 @@ def _solve_cone(c, f0, coeffs, settings: SolverSettings):
             if min(ap2, ad2) > min(ap, ad):
                 dx, ds, dz, ap, ad = dx2, ds2, dz2, ap2, ad2
         # back to the unscaled frame: dS = G ds G^T and dZ = G^-T dz G^-1
-        ds = [g @ d @ gt for g, d, gt in zip(G, split(ds), Gt)]
-        dz = [git @ d @ gi for git, d, gi in zip(Ginvt, split(dz), Ginv)]
+        ds = G @ ds.reshape(f0.shape) @ Gt
+        dz = Ginvt @ dz.reshape(f0.shape) @ Ginv
 
         # verify cone membership at the candidate points, since the max-step
         # estimate is unreliable when the current factors are ill-conditioned.
@@ -503,23 +463,23 @@ def _solve_cone(c, f0, coeffs, settings: SolverSettings):
         # cone.  The factors of the accepted points, the polished Z when it
         # passed, are the next iteration's L and R
         for _ in range(40):
-            S_new = [_sym(s + ap * d) for s, d in zip(S, ds)]
-            Z_new = [_sym(z + ad * d) for z, d in zip(Z, dz)]
+            S_new = _sym(S + ap * ds)
+            Z_new = _sym(Z + ad * dz)
             fixed = polish(Z_new)
             points = [S_new, Z_new] + ([] if fixed is None else [fixed])
-            factors = _in_cone([np.concatenate(group) for group in zip(*points)])
+            factors = _in_cone(np.concatenate(points))
             if factors is None and fixed is not None:
                 points = points[:2]
-                factors = _in_cone([np.concatenate(group) for group in zip(*points)])
+                factors = _in_cone(np.concatenate(points))
             if factors is not None:
                 break
             ap, ad = 0.8 * ap, 0.8 * ad
         else:
             status, reason = SolveStatus.NUMERICAL_FAILURE, "numerical"
             break
-        Ls, *Rs = _unstack(factors, len(points))
+        L, R = factors[:k], factors[-k:]
         x = x + ap * dx
-        S, Z, Rs = S_new, points[-1], Rs[-1]
+        S, Z = S_new, points[-1]
 
     else:
         # max_iter exhausted: account for the final step before reporting
@@ -543,22 +503,31 @@ def solve(program: ConicProgram, settings: SolverSettings | None = None) -> Solv
     always returned for the best iterate seen, in input block order and
     shape.
 
-    The blocks are stacked by order here, once per solve.  A program with no
-    variable has the one point F_0, which is tested directly; any other runs
-    ``_solve_cone``.  Either way one iterate record comes out, and it is
-    turned into the result here, its duals scattered back with ``_scatter``.
+    The blocks are padded to the largest order s and stacked here, once per
+    solve (see the module docstring).  A program with no variable has the
+    one point F_0, which is tested directly; any other runs ``_solve_cone``.
+    Either way one iterate record comes out, and it is turned into the
+    result here: each block's dual is the leading corner of its padded dual,
+    and the identity corner's dual term -tr(Z_corner), which only lowers the
+    dual objective, stays in it.
     """
     settings = settings or SolverSettings()
-    positions, f0, coeffs = _group(program.blocks)
+    sizes = [blk.size for blk in program.blocks]
+    s = max(sizes)
+    f0 = np.tile(np.eye(s), (len(sizes), 1, 1))
+    coeffs = np.zeros((program.n_vars, len(sizes), s, s))
+    for k, (blk, size) in enumerate(zip(program.blocks, sizes)):
+        f0[k, :size, :size] = blk.f0
+        coeffs[:, k, :size, :size] = blk.coeffs
     if program.n_vars == 0:
-        lam = min(float(np.linalg.eigvalsh(f)[:, 0].min()) for f in f0)
+        lam = float(np.linalg.eigvalsh(f0)[:, 0].min())
         status = SolveStatus.OPTIMAL if lam >= -1e-8 * _data_scale(f0) else SolveStatus.INFEASIBLE
         reason, iters = "pinned_point", 0
-        best = {"x": np.zeros(0), "Z": [np.zeros_like(f) for f in f0], "pobj": 0.0,
+        best = {"x": np.zeros(0), "Z": np.zeros_like(f0), "pobj": 0.0,
                 "dobj": 0.0, "pres": max(0.0, -lam), "dres": 0.0, "relgap": 0.0}
     else:
         status, reason, best, iters = _solve_cone(program.c, f0, coeffs, settings)
+    duals = tuple(z[:size, :size] for z, size in zip(best["Z"], sizes))
     return SolveResult(status, best["x"], best["pobj"] + program.offset,
-                       best["dobj"] + program.offset, _scatter(positions, best["Z"]),
+                       best["dobj"] + program.offset, duals,
                        best["pres"], best["dres"], best["relgap"], iters, reason)
-

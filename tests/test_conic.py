@@ -214,24 +214,39 @@ def test_iteration_factors_each_iterate_once(monkeypatch):
     # an iteration factors the Schur matrix and checks the candidate iterate
     # (S, Z and the polished Z together) with one Cholesky; the next
     # iteration reuses the factors of that check, and each step-length pair
-    # takes one eigen-solve.  The per-solve allowance covers the Gram of the
-    # dual projection and the rare retry of the check, without the polished
-    # Z or with a shrunk step
+    # takes one eigen-solve.  The blocks are one padded stack, so a level
+    # whose blocks have orders 2, 2 and 3 takes one SVD per iteration too,
+    # besides the one of its kernel reduction.  A typical iteration makes
+    # seven dpotrs solves: three per direction and one for the polish.  The
+    # per-solve allowance covers the Gram of the dual projection and the
+    # rare retry of the check, without the polished Z or with a shrunk step
     counts = dict.fromkeys(("cholesky", "eigvalsh", "svd"), 0)
     for name in counts:
         def counted(*args, _call=getattr(np.linalg, name), _name=name, **kwargs):
             counts[_name] += 1
             return _call(*args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
-    iterations = 0
+    counts["dpotrs"] = 0
+
+    def dpotrs(*args, _call=conic.lapack.dpotrs, **kwargs):
+        counts["dpotrs"] += 1
+        return _call(*args, **kwargs)
+
+    monkeypatch.setattr(conic.lapack, "dpotrs", dpotrs)
+    iterations = reduced = 0
     for mu, nu, n in ((Gaussian(0.0, 0.5), Gaussian(1.0, 0.5), 3),
-                      (Gaussian(0.8, 0.05), Gaussian(1.0, 0.01), 4)):
+                      (Gaussian(0.8, 0.05), Gaussian(1.0, 0.01), 4),
+                      (Atomic.univariate([-1.0, 1.0], [0.6, 0.4]),
+                       Atomic.univariate([-1.0, 0.2, 1.3], [0.3, 0.4, 0.3]), 4)):
         (res,) = solve_hierarchy(mu, nu, [n])
         assert res.status == SolveStatus.OPTIMAL
         iterations += res.solve.iterations
+        reduced += res.problem.reduced
+    assert reduced == 1
     assert counts["cholesky"] <= 2 * iterations + 8
     assert counts["eigvalsh"] <= 3 * iterations
-    assert counts["svd"] == iterations
+    assert counts["svd"] == iterations + reduced
+    assert counts["dpotrs"] <= 7 * iterations + 8
 
 
 # the nine pairs of the published Gaussian table

@@ -196,7 +196,7 @@ def test_reduced_blocks_have_the_data_ranks(monkeypatch):
     original = conic._solve_cone
 
     def spy(c, f0, coeffs, settings):
-        received.append([f.shape[1] for f in f0 for _ in f])
+        received.append((f0, coeffs))
         return original(c, f0, coeffs, settings)
 
     monkeypatch.setattr(conic, "_solve_cone", spy)
@@ -212,13 +212,28 @@ def test_reduced_blocks_have_the_data_ranks(monkeypatch):
     for mu, nu, levels, orders in cases:
         tv = exact_tv_atomic(mu, nu)
         received.clear()
-        for res in solve_hierarchy(mu, nu, levels, settings):
+        sweep = solve_hierarchy(mu, nu, levels, settings)
+        for res in sweep:
             assert res.problem.reduced and res.problem.program.n_vars > 0
             assert [blk.size for blk in res.problem.program.blocks] == orders, res.level
             assert res.status == SolveStatus.OPTIMAL, res.level
             assert abs(res.rho - tv) <= settings.accept_tol, res.level
-        # the solver stacks the blocks by order, in order of first appearance
-        assert received == [sorted(orders, key=orders.index)] * len(levels)
+        # the solver runs one (k, s, s) stack, s the largest order: each
+        # block's leading corner is the assembled block, the rest identity
+        # in F_0 and zero in every F_i
+        assert len(received) == len(levels)
+        s = max(orders)
+        for res, (f0, coeffs) in zip(sweep, received):
+            program = res.problem.program
+            assert f0.shape == (len(orders), s, s)
+            assert coeffs.shape == (program.n_vars, len(orders), s, s)
+            for k, blk in enumerate(program.blocks):
+                padded_f0 = np.eye(s)
+                padded_f0[:blk.size, :blk.size] = blk.f0
+                padded_coeffs = np.zeros((program.n_vars, s, s))
+                padded_coeffs[:, :blk.size, :blk.size] = blk.coeffs
+                assert np.array_equal(f0[k], padded_f0), res.level
+                assert np.array_equal(coeffs[:, k], padded_coeffs), res.level
 
 
 def test_hierarchy_equal_measures_zero():

@@ -21,11 +21,12 @@ A row holds the status, rho as a float hex and the iteration count.  BLAS is
 pinned to one thread, since its thread count changes summation orders.  The
 second form lists the rows of two such files that differ, then sums them up
 per group (``bench/gaussian_table``, ``bench/atomic_exact``,
-``bench/certified``, ``wide``): the status counts and IPM iteration totals
-of each file, the benchmark ops that failed (not Optimal, or an error
-text), every row whose status changed, the largest |delta rho| over the
-rows Optimal on both sides, and every such row whose rho moved by more than
-1e-4 (the default ``accept_tol``).  It exits 1 if any row differs.
+``bench/certified``, ``wide``): how many rows are bit-identical (``36 of 36
+identical``), the status counts and IPM iteration totals of each file, the
+benchmark ops that failed (not Optimal, or an error text), every row whose
+status changed, the largest |delta rho| over the rows Optimal on both
+sides, and every such row whose rho moved by more than 1e-4 (the default
+``accept_tol``).  It exits 1 if any row differs.
 To fingerprint an older commit, export it (``git archive``) and pass its
 directory as ``--root``.  A run takes under a minute on one core.
 """
@@ -126,14 +127,16 @@ def _fields(row) -> list:
 
 
 def summarize(a: Path, b: Path, left: dict, right: dict) -> None:
-    """Per group: each file's status counts, iteration total and failed
-    benchmark ops (not Optimal, or an error text), then every row whose
-    status changed, the largest |delta rho| over the rows Optimal on both
-    sides, and every such row whose rho moved by more than ``RHO_MOVED``."""
+    """Per group: how many rows are bit-identical, each file's status
+    counts, iteration total and failed benchmark ops (not Optimal, or an
+    error text), then every row whose status changed, the largest
+    |delta rho| over the rows Optimal on both sides, and every such row
+    whose rho moved by more than ``RHO_MOVED``."""
     keys = list(left) + [k for k in right if k not in left]
     for group in GROUPS:
         mine = [k for k in keys if k.startswith(group + "/")]
-        print(f"\n== {group}: {len(mine)} rows")
+        same = sum(left.get(k) == right.get(k) for k in mine)
+        print(f"\n== {group}: {same} of {len(mine)} identical")
         for path, rows in ((a, left), (b, right)):
             fields = {k: _fields(rows.get(k)) for k in mine}
             statuses = Counter(f[0] for f in fields.values())
