@@ -125,15 +125,15 @@ def recover_certificate(result: HierarchyResult) -> DualCertificate:
     the certified value (see the module docstring).
 
     Requires an Optimal solve without the kernel-face reduction (use
-    ``HierarchySettings(certify=True)``): on the face the blocks are
-    compressed and the variable is z in phi = x0 + N z, so the multipliers
-    are neither full size nor stationary in phi.
+    ``HierarchySettings(certify=True)``): on the face the variable is z in
+    phi = x0 + N z, so the multipliers are stationary in z only, not in
+    every moment of phi.
     """
     if result.status != SolveStatus.OPTIMAL:
         raise ValueError("certificate recovery needs an Optimal solve")
     if result.problem.reduced:
         raise ValueError(
-            "certificate recovery needs the uncompressed blocks; "
+            "certificate recovery needs the unreduced program; "
             "re-solve with HierarchySettings(certify=True)"
         )
     duals = result.solve.block_duals

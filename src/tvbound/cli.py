@@ -336,7 +336,7 @@ def cmd_moments(cfg: RunConfig) -> int:
 def cmd_certify(cfg: RunConfig) -> int:
     level = max(cfg.levels)
     res = solve_hierarchy(cfg.mu, cfg.nu, [level], replace(cfg.settings, certify=True))[0]
-    if res.status != SolveStatus.OPTIMAL or res.certificate is None:
+    if res.status != SolveStatus.OPTIMAL:
         print(f"error: level {level} solve ended {res.status.value}", file=sys.stderr)
         return EXIT_SOLVER
     cert = res.certificate

@@ -154,14 +154,17 @@ class SolveResult:
 
     On OPTIMAL the reported primal residual, dual residual and gap are all at
     or below the acceptance tolerance ``SolverSettings.accept``, which may be
-    looser than the target ``tol``; they are always the achieved values.  The
-    block duals are symmetric PSD multipliers usable for certificate recovery.
+    looser than the target ``tol``; they are always the achieved values, and
+    the primal residual is relative to the data scale (``_data_scale``), a
+    pinned point's too.  The block duals are symmetric PSD multipliers usable
+    for certificate recovery.
 
     ``stop_reason`` is why the solve stopped: ``converged`` (at ``tol``),
     ``stalled`` (see ``_solve_cone``), ``max_iter``, ``numerical`` (a score
     that is not finite, a Schur matrix with no Cholesky factor, or a step
     that no shrink put back in the cone), ``infeasible`` or
-    ``pinned_point`` (no variable, the one point tested).
+    ``pinned_point`` (no variable: the one point, Optimal when its primal
+    residual is at most ``accept``, else Infeasible).
     An Optimal that did not converge was accepted at ``accept``.
     """
 
@@ -505,7 +508,10 @@ def solve(program: ConicProgram, settings: SolverSettings | None = None) -> Solv
 
     The blocks are padded to the largest order s and stacked here, once per
     solve (see the module docstring).  A program with no variable has the
-    one point F_0, which is tested directly; any other runs ``_solve_cone``.
+    one point F_0, which is judged like any iterate: its primal residual is
+    max(0, -lambda_min(F_0)) over ``_data_scale``, the core's normalization,
+    and it is Optimal when that is at most ``accept``.  Any other program
+    runs ``_solve_cone``.
     Either way one iterate record comes out, and it is turned into the
     result here: each block's dual is the leading corner of its padded dual,
     and the identity corner's dual term -tr(Z_corner), which only lowers the
@@ -521,10 +527,11 @@ def solve(program: ConicProgram, settings: SolverSettings | None = None) -> Solv
         coeffs[:, k, :size, :size] = blk.coeffs
     if program.n_vars == 0:
         lam = float(np.linalg.eigvalsh(f0)[:, 0].min())
-        status = SolveStatus.OPTIMAL if lam >= -1e-8 * _data_scale(f0) else SolveStatus.INFEASIBLE
+        pres = max(0.0, -lam) / _data_scale(f0)
+        status = SolveStatus.OPTIMAL if pres <= settings.accept else SolveStatus.INFEASIBLE
         reason, iters = "pinned_point", 0
         best = {"x": np.zeros(0), "Z": np.zeros_like(f0), "pobj": 0.0,
-                "dobj": 0.0, "pres": max(0.0, -lam), "dres": 0.0, "relgap": 0.0}
+                "dobj": 0.0, "pres": pres, "dres": 0.0, "relgap": 0.0}
     else:
         status, reason, best, iters = _solve_cone(program.c, f0, coeffs, settings)
     duals = tuple(z[:size, :size] for z, size in zip(best["Z"], sizes))

@@ -34,10 +34,6 @@ class MeasureSpec:
     def dim(self) -> int:
         raise NotImplementedError
 
-    @property
-    def mass(self) -> float:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class Gaussian(MeasureSpec):
@@ -52,10 +48,6 @@ class Gaussian(MeasureSpec):
     def dim(self) -> int:
         return 1
 
-    @property
-    def mass(self) -> float:
-        return 1.0
-
 
 @dataclass(frozen=True)
 class Exponential(MeasureSpec):
@@ -68,10 +60,6 @@ class Exponential(MeasureSpec):
     @property
     def dim(self) -> int:
         return 1
-
-    @property
-    def mass(self) -> float:
-        return 1.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,10 +125,6 @@ class Mixture(MeasureSpec):
     def dim(self) -> int:
         return self.components[0][1].dim
 
-    @property
-    def mass(self) -> float:
-        return 1.0
-
 
 @dataclass(frozen=True, eq=False)
 class Empirical(MeasureSpec):
@@ -158,10 +142,6 @@ class Empirical(MeasureSpec):
     @property
     def dim(self) -> int:
         return self.samples.shape[1]
-
-    @property
-    def mass(self) -> float:
-        return 1.0
 
 
 def _gaussian_moments_1d(mean: float, std: float, max_degree: int) -> np.ndarray:

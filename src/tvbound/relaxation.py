@@ -23,12 +23,13 @@ Numerics.  Three exact reformulations precondition the solve:
   congruence and changes nothing mathematically;
 * when the data moment matrices are exactly singular (atomic inputs at or
   above the exactness level), the feasible set lies on a face of the cone,
-  which ``kernel_reduce`` restricts to in one facial-reduction step.  It
-  compresses the blocks onto the complement of those kernels and
-  parametrizes the phi that annihilate them as phi = x0 + N z, so the
-  solver's variable is z.  That face need not be the minimal one: a block
-  may keep a constant kernel, which the interior-point solver handles as it
-  is.  The conic program it returns is the one the solver runs.
+  which ``kernel_reduce`` reaches in one facial-reduction step: it
+  substitutes phi = x0 + N z, the phi that annihilate the verified
+  kernels, so the solver's variable is z.  The blocks keep their order
+  s(n) and the kernels as constant kernels, which the interior-point
+  solver handles as they are; an affine set that contains the feasible
+  set is all the step needs.  The conic program it returns is the one the
+  solver runs.
 """
 
 from __future__ import annotations
@@ -119,10 +120,10 @@ class RelaxationProblem:
     the fourth LMI, M(nu) - M(psi), is the same matrix as M(mu) - M(phi).
     ``equilibrations`` holds the diagonal congruence applied to each solver
     block; block duals must be conjugated back by it before any certificate
-    use.  On a reduced program the blocks are compressed onto the
-    complement of the data kernels, of orders the data ranks, and the
-    variable is z in phi = x0 + null_basis @ z; otherwise ``x0`` and
-    ``null_basis`` are None and the variable is phi itself.
+    use.  Every program has three blocks of order s(n) = ``basis_size(d, n)``.
+    On a reduced program the variable is z in phi = x0 + null_basis @ z,
+    substituted into the same blocks; otherwise ``x0`` and ``null_basis``
+    are None and the variable is phi itself.
     """
 
     dim: int
@@ -142,20 +143,20 @@ def _equilibration(mat: np.ndarray) -> np.ndarray:
     return 1.0 / np.sqrt(np.maximum(diag, floor))
 
 
-def _exact_kernel(mat: np.ndarray):
-    """Split eigenvectors of a PSD data matrix into range and verified kernel."""
+def _exact_kernel(mat: np.ndarray) -> np.ndarray:
+    """Verified kernel of a PSD data matrix, as orthonormal columns: the
+    eigenvectors of eigenvalues at or below 1e-12 of the largest that the
+    matrix annihilates to data precision."""
     w, v = np.linalg.eigh(mat)
     lam_max = max(float(w[-1]), 0.0)
-    keep = w > 1e-12 * lam_max
-    kernel = v[:, ~keep]
+    kernel = v[:, w <= 1e-12 * lam_max]
     # only trust directions annihilated to data precision
     good = []
     for i in range(kernel.shape[1]):
         vec = kernel[:, i]
         if np.max(np.abs(mat @ vec)) <= 1e-11 * max(lam_max, 1.0):
             good.append(vec)
-    kernel = np.column_stack(good) if good else np.zeros((mat.shape[0], 0))
-    return v[:, keep], kernel
+    return np.column_stack(good) if good else np.zeros((mat.shape[0], 0))
 
 
 # singular values at or below this share of the largest count as zero in
@@ -228,8 +229,8 @@ def assemble(
     x0 = null_basis = None
     if kernel_reduce:
         # kernels of the data matrices, in their equilibrated frames
-        p_mu, k_mu = _exact_kernel(em_mu)
-        p_nu, k_nu = _exact_kernel(m_nu * np.outer(d_nu, d_nu))
+        k_mu = _exact_kernel(em_mu)
+        k_nu = _exact_kernel(m_nu * np.outer(d_nu, d_nu))
         rows, rhs = [], []
         for v in k_mu.T:
             # M(mu) v = 0 and 0 <= M(phi) <= M(mu) force M(phi) v = 0
@@ -250,12 +251,8 @@ def assemble(
             sol, *_ = np.linalg.lstsq(eq_a, eq_b, rcond=None)
             if np.linalg.norm(eq_a @ sol - eq_b) <= 1e-9 * (1.0 + np.linalg.norm(eq_b)):
                 x0, null_basis = sol, _null_space(eq_a)
-                # compress onto the face, then substitute phi = x0 + N z;
-                # the sums are symmetric only up to rounding
-                block_data = [
-                    (basis.T @ f0 @ basis, basis.T @ coeffs @ basis)
-                    for (f0, coeffs), basis in zip(block_data, (p_mu, p_mu, p_nu))
-                ]
+                # substitute phi = x0 + N z; the sums are symmetric only up
+                # to rounding
                 block_data = [
                     (_sym(f0 + np.tensordot(x0, coeffs, axes=1)),
                      _sym(np.tensordot(null_basis.T, coeffs, axes=1)))
@@ -283,10 +280,11 @@ class HierarchySettings(SolverSettings):
     when the target ``tol`` turns out to be unreachable (nearly singular
     data); achieved tolerances are always reported.  ``certify`` recovers a
     dual SOS certificate per level; it disables the kernel reduction because
-    certificate recovery maps raw block multipliers and must see the
-    uncompressed blocks.  The change of variables is not a setting: every
-    solve runs in the frame of ``variable_map_for`` unless ``solve_level``
-    is given another ``VariableMap``, such as the identity ``VariableMap()``.
+    certificate recovery maps raw block multipliers, which must be
+    stationary in every moment of phi, not in z alone.  The change of
+    variables is not a setting: every solve runs in the frame of
+    ``variable_map_for`` unless ``solve_level`` is given another
+    ``VariableMap``, such as the identity ``VariableMap()``.
     """
 
     max_iter: int = 250

@@ -214,9 +214,9 @@ def test_iteration_factors_each_iterate_once(monkeypatch):
     # an iteration factors the Schur matrix and checks the candidate iterate
     # (S, Z and the polished Z together) with one Cholesky; the next
     # iteration reuses the factors of that check, and each step-length pair
-    # takes one eigen-solve.  The blocks are one padded stack, so a level
-    # whose blocks have orders 2, 2 and 3 takes one SVD per iteration too,
-    # besides the one of its kernel reduction.  A typical iteration makes
+    # takes one eigen-solve.  The blocks are one stack, so the kernel-reduced
+    # level, whose three blocks keep order 5, takes one SVD per iteration
+    # too, besides the one of its kernel reduction.  A typical iteration makes
     # seven dpotrs solves: three per direction and one for the polish.  The
     # per-solve allowance covers the Gram of the dual projection and the
     # rare retry of the check, without the polished Z or with a shrunk step
@@ -380,10 +380,25 @@ def test_fully_pinned_equalities():
 
 
 def test_fixed_point_outside_cone_is_infeasible():
-    # S(1/2, 1) = [[1/2, 1], [1, 1]] has determinant -1/2
+    # S(1/2, 1) = [[1/2, 1], [1, 1]] has determinant -1/2; the residual is
+    # relative to the data scale max(1, ||F_0||_F), as in the core
+    point = np.array([[0.5, 1.0], [1.0, 1.0]])
     res = solve(fixed_point_program(np.array([0.5, 1.0])))
     assert res.status == SolveStatus.INFEASIBLE
-    assert res.primal_residual == pytest.approx(-np.linalg.eigvalsh([[0.5, 1.0], [1.0, 1.0]])[0])
+    assert res.primal_residual == pytest.approx(
+        -np.linalg.eigvalsh(point)[0] / max(1.0, np.linalg.norm(point)))
+
+
+def test_pinned_point_meets_the_result_contract():
+    # lambda_min = -5e-8 is 3.5e-9 of ||F_0||_F: the point passes at the
+    # default accept of 1e-8, and an Optimal reports a residual within it
+    settings = SolverSettings()
+    f0 = np.diag([10.0, 10.0, -5e-8])
+    res = solve(ConicProgram(c=np.zeros(0), blocks=(PsdBlock(f0, np.zeros((0, 3, 3))),)),
+                settings)
+    assert (res.status, res.stop_reason) == (SolveStatus.OPTIMAL, "pinned_point")
+    assert res.primal_residual <= settings.accept
+    assert res.primal_residual == pytest.approx(5e-8 / np.linalg.norm(f0))
 
 
 def test_infeasible_one_variable():

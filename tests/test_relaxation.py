@@ -62,9 +62,9 @@ def test_assemble_counts_bivariate_n2():
 
 
 def test_assemble_counts_kernel_reduced():
-    # two atoms each at level 2: both 3x3 data matrices have rank 2, so the
-    # reduction compresses every solver block onto a 2-dimensional face; the
-    # kernels pin all five moments of phi, so no variable is left
+    # two atoms each at level 2: both 3x3 data matrices have rank 2, and
+    # their kernels pin all five moments of phi, so no variable is left.
+    # The reduction only substitutes, so the blocks keep order 3
     mu = moments(Atomic.univariate([0.0, 1.0], [0.5, 0.5]), 1, 4)
     nu = moments(Atomic.univariate([0.5, 2.0], [0.5, 0.5]), 1, 4)
     prob = assemble(mu, nu, 2, kernel_reduce=True)
@@ -72,7 +72,7 @@ def test_assemble_counts_kernel_reduced():
     assert prob.program.n_vars == 0
     assert prob.x0.shape == (5,)
     assert prob.null_basis.shape == (5, 0)
-    assert [blk.size for blk in prob.program.blocks] == [2, 2, 2]
+    assert [blk.size for blk in prob.program.blocks] == [3, 3, 3]
     assert len(prob.equilibrations) == 3
 
 
@@ -184,56 +184,28 @@ def test_close_diracs_level_7_converges():
     assert abs(res.rho - 2.0) <= settings.accept_tol
 
 
-def test_reduced_blocks_have_the_data_ranks(monkeypatch):
+def test_reduced_blocks_keep_the_full_order():
     # past exactness the kernel face of these pairs keeps a free variable.
-    # assemble compresses each block onto the range of its data matrix, so
-    # the block orders are the ranks of M(mu), M(mu) and M(nu), and the
-    # interior-point core runs exactly the assembled blocks, with whatever
-    # constant kernel they keep
-    from tvbound import conic
-
-    received = []
-    original = conic._solve_cone
-
-    def spy(c, f0, coeffs, settings):
-        received.append((f0, coeffs))
-        return original(c, f0, coeffs, settings)
-
-    monkeypatch.setattr(conic, "_solve_cone", spy)
+    # assemble substitutes phi = x0 + N z into the three blocks, so every
+    # block keeps the order s(n) and the data kernel as a constant kernel,
+    # which the interior-point core runs as it is
     cases = (
         (Atomic.univariate([-1.0, 0.0, 1.0, 2.0], [0.25] * 4),
-         Atomic.univariate([-2.0, -1.0, 0.1, 1.5], [0.25] * 4), (4, 5, 6), [4, 4, 4]),
+         Atomic.univariate([-2.0, -1.0, 0.1, 1.5], [0.25] * 4), (4, 5, 6)),
         (Atomic.univariate([0.0, 0.3, 0.4, 0.9], [0.25] * 4),
-         Atomic.univariate([0.3, 0.6, 0.7, 1.2], [0.25] * 4), (4, 5, 6), [4, 4, 4]),
+         Atomic.univariate([0.3, 0.6, 0.7, 1.2], [0.25] * 4), (4, 5, 6)),
         (Atomic.univariate([-1.0, 1.0], [0.6, 0.4]),
-         Atomic.univariate([-1.0, 0.2, 1.3], [0.3, 0.4, 0.3]), (3, 4, 5), [2, 2, 3]),
+         Atomic.univariate([-1.0, 0.2, 1.3], [0.3, 0.4, 0.3]), (3, 4, 5)),
     )
     settings = HierarchySettings()
-    for mu, nu, levels, orders in cases:
+    for mu, nu, levels in cases:
         tv = exact_tv_atomic(mu, nu)
-        received.clear()
-        sweep = solve_hierarchy(mu, nu, levels, settings)
-        for res in sweep:
+        for res in solve_hierarchy(mu, nu, levels, settings):
             assert res.problem.reduced and res.problem.program.n_vars > 0
-            assert [blk.size for blk in res.problem.program.blocks] == orders, res.level
+            sizes = [blk.size for blk in res.problem.program.blocks]
+            assert sizes == [basis_size(1, res.level)] * 3, res.level
             assert res.status == SolveStatus.OPTIMAL, res.level
             assert abs(res.rho - tv) <= settings.accept_tol, res.level
-        # the solver runs one (k, s, s) stack, s the largest order: each
-        # block's leading corner is the assembled block, the rest identity
-        # in F_0 and zero in every F_i
-        assert len(received) == len(levels)
-        s = max(orders)
-        for res, (f0, coeffs) in zip(sweep, received):
-            program = res.problem.program
-            assert f0.shape == (len(orders), s, s)
-            assert coeffs.shape == (program.n_vars, len(orders), s, s)
-            for k, blk in enumerate(program.blocks):
-                padded_f0 = np.eye(s)
-                padded_f0[:blk.size, :blk.size] = blk.f0
-                padded_coeffs = np.zeros((program.n_vars, s, s))
-                padded_coeffs[:, :blk.size, :blk.size] = blk.coeffs
-                assert np.array_equal(f0[k], padded_f0), res.level
-                assert np.array_equal(coeffs[:, k], padded_coeffs), res.level
 
 
 def test_hierarchy_equal_measures_zero():

@@ -17,16 +17,20 @@ tab-separated row per solve to ``OUT``:
   ``certify=True``, and the nine published Gaussian pairs and Exponential 1
   against 2 at n = 5..14 with default settings.
 
-A row holds the status, rho as a float hex and the iteration count.  BLAS is
-pinned to one thread, since its thread count changes summation orders.  The
-second form lists the rows of two such files that differ, then sums them up
-per group (``bench/gaussian_table``, ``bench/atomic_exact``,
-``bench/certified``, ``wide``): how many rows are bit-identical (``36 of 36
-identical``), the status counts and IPM iteration totals of each file, the
-benchmark ops that failed (not Optimal, or an error text), every row whose
-status changed, the largest |delta rho| over the rows Optimal on both
-sides, and every such row whose rho moved by more than 1e-4 (the default
-``accept_tol``).  It exits 1 if any row differs.
+A row holds the status, rho as a float hex, the iteration count and the
+pair's exact TV as a float hex, computed once per pair as the benchmark's
+``workloads.prepare`` does (``exact_tv_atomic`` or
+``exact_tv_univariate_density``).  BLAS is pinned to one thread, since its
+thread count changes summation orders.  The second form lists the rows of
+two such files that differ, then sums them up per group
+(``bench/gaussian_table``, ``bench/atomic_exact``, ``bench/certified``,
+``wide``): how many rows are bit-identical (``36 of 36 identical``); per
+file the status counts, the IPM iteration total, the number of Optimal rows
+whose rho exceeds the TV by more than 1e-4 (the default ``accept_tol``) and
+the largest Optimal rho - TV, and the benchmark ops that failed (not
+Optimal, or an error text); then every row whose status changed, the
+largest |delta rho| over the rows Optimal on both sides, and every such row
+whose rho moved by more than 1e-4.  It exits 1 if any row differs.
 To fingerprint an older commit, export it (``git archive``) and pass its
 directory as ``--root``.  A run takes under a minute on one core.
 """
@@ -56,37 +60,40 @@ def _atoms(measure) -> str:
     return ",".join(f"{_hex(p)}:{_hex(w)}" for p, w in zip(measure.points[:, 0], measure.weights))
 
 
-def _solve_row(res) -> list:
-    return [res.status.value, _hex(res.rho), str(res.solve.iterations)]
+def _solve_row(res, op) -> list:
+    return [res.status.value, _hex(res.rho), str(res.solve.iterations), _hex(op.oracle)]
 
 
 def benchmark_rows(W):
     for workload in ("gaussian_table", "atomic_exact", "certified"):
-        for op in W.build_ops(workload):
-            W.set_reference_moments(op)
+        ops = W.build_ops(workload)
+        W.prepare(ops)
+        for op in ops:
             res, extracted, verified, error = W.run_op(op)
             atoms = "-" if extracted is None else "|".join(_atoms(m) for m in extracted)
-            yield f"bench/{workload}/{op.name}", _solve_row(res) + [_hex(verified), atoms, error]
+            yield f"bench/{workload}/{op.name}", _solve_row(res, op) + [_hex(verified), atoms, error]
 
 
 def wide_rows(W):
     from tvbound.measures import Exponential, Gaussian
     from tvbound.relaxation import HierarchySettings, solve_hierarchy
 
+    ops = []
     settings = (("default", HierarchySettings()), ("certify", HierarchySettings(certify=True)))
     for name, mu, nu, exact in W.atomic_pairs():
         above = WIDE_LEVELS_ABOVE_EXACT if mu.dim == 1 else WIDE_LEVELS_ABOVE_EXACT_2D
         for label, setting in settings:
-            for n in range(1, exact + above + 1):
-                res = solve_hierarchy(mu, nu, [n], setting)[0]
-                yield f"wide/{name}/{label}/n={n}", _solve_row(res)
+            ops += [(label, W.Op(name, n, mu, nu, setting))
+                    for n in range(1, exact + above + 1)]
     pairs = [(f"gauss({m1},{s1})/({m2},{s2})", Gaussian(m1, s1), Gaussian(m2, s2))
              for (m1, s1), (m2, s2) in W.GAUSSIAN_PAIRS]
     pairs.append(("exponential-1-vs-2", Exponential(1.0), Exponential(2.0)))
-    for name, mu, nu in pairs:
-        for n in WIDE_DENSITY_LEVELS:
-            res = solve_hierarchy(mu, nu, [n])[0]
-            yield f"wide/{name}/default/n={n}", _solve_row(res)
+    ops += [("default", W.Op(name, n, mu, nu, HierarchySettings()))
+            for name, mu, nu in pairs for n in WIDE_DENSITY_LEVELS]
+    W.prepare([op for _, op in ops])
+    for label, op in ops:
+        res = solve_hierarchy(op.mu, op.nu, [op.level], op.settings)[0]
+        yield f"wide/{op.pair}/{label}/n={op.level}", _solve_row(res, op)
 
 
 def record(out: Path, root: Path) -> None:
@@ -115,23 +122,26 @@ def _read(path: Path) -> dict:
 
 
 GROUPS = ("bench/gaussian_table", "bench/atomic_exact", "bench/certified", "wide")
-# a rho that moves by more than this, the default ``accept_tol``, on a row
-# Optimal on both sides is listed
-RHO_MOVED = 1e-4
+# the default ``accept_tol``: an Optimal rho above the TV by more than this
+# is counted, and a rho that moves by more on a row Optimal on both sides is
+# listed
+ACCEPT_TOL = 1e-4
 
 
 def _fields(row) -> list:
-    """Status, rho and iterations, and on a benchmark row the verified value,
-    the atoms and the error text; a missing row reads as ``(missing)``."""
-    return row.split("\t") if row is not None else ["(missing)", "-", "0"]
+    """Status, rho, iterations and TV, and on a benchmark row the verified
+    value, the atoms and the error text; a missing row reads as
+    ``(missing)``."""
+    return row.split("\t") if row is not None else ["(missing)", "-", "0", "-"]
 
 
 def summarize(a: Path, b: Path, left: dict, right: dict) -> None:
-    """Per group: how many rows are bit-identical, each file's status
-    counts, iteration total and failed benchmark ops (not Optimal, or an
-    error text), then every row whose status changed, the largest
-    |delta rho| over the rows Optimal on both sides, and every such row
-    whose rho moved by more than ``RHO_MOVED``."""
+    """Per group: how many rows are bit-identical; each file's status
+    counts, iteration total, Optimal rows above the TV by more than
+    ``ACCEPT_TOL`` with the largest Optimal rho - TV, and failed benchmark
+    ops (not Optimal, or an error text); then every row whose status
+    changed, the largest |delta rho| over the rows Optimal on both sides,
+    and every such row whose rho moved by more than ``ACCEPT_TOL``."""
     keys = list(left) + [k for k in right if k not in left]
     for group in GROUPS:
         mine = [k for k in keys if k.startswith(group + "/")]
@@ -142,9 +152,15 @@ def summarize(a: Path, b: Path, left: dict, right: dict) -> None:
             statuses = Counter(f[0] for f in fields.values())
             counts = ", ".join(f"{s} {n}" for s, n in sorted(statuses.items()))
             print(f"  {path}: {counts}; {sum(int(f[2]) for f in fields.values())} iterations")
+            excess = [float.fromhex(f[1]) - float.fromhex(f[3])
+                      for f in fields.values() if f[0] == "Optimal"]
+            if excess:
+                above = sum(e > ACCEPT_TOL for e in excess)
+                print(f"    {above} Optimal rows above TV + {ACCEPT_TOL:g}; "
+                      f"largest Optimal rho - TV {max(excess):.3g}")
             for key, f in fields.items():
-                if len(f) > 5 and (f[0] != "Optimal" or f[5]):
-                    print(f"    failed {key}: {f[0]} {f[5]}".rstrip())
+                if len(f) > 6 and (f[0] != "Optimal" or f[6]):
+                    print(f"    failed {key}: {f[0]} {f[6]}".rstrip())
         moved = {}
         for key in mine:
             old, new = _fields(left.get(key)), _fields(right.get(key))
@@ -156,7 +172,7 @@ def summarize(a: Path, b: Path, left: dict, right: dict) -> None:
             worst = max(abs(new_rho - old_rho) for old_rho, new_rho in moved.values())
             print(f"  largest |delta rho| over {len(moved)} rows Optimal on both: {worst:.3g}")
         for key, (old_rho, new_rho) in moved.items():
-            if abs(new_rho - old_rho) > RHO_MOVED:
+            if abs(new_rho - old_rho) > ACCEPT_TOL:
                 print(f"  rho {key}: {old_rho!r} -> {new_rho!r}")
 
 
