@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands:
-    bound    hierarchy sweep, one row per level (rho_n, dual value, gap, ...)
+    bound    hierarchy sweep, one row per level (rho_n, dual value, gap,
+             status, and wall_ms, the time of the conic solve alone)
     exact    exact / quadrature TV oracle for atomic, empirical or density specs
     extract  atomic Hahn-Jordan pair from the optimal pseudo-moments
     moments  dump the truncated moment sequences of both measures
@@ -393,7 +394,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--levels", help="level range A..B or single level")
         p.add_argument("--tol", type=float, help="solver tolerance override")
-        p.add_argument("--format", choices=("csv", "json", "pretty"))
+        p.add_argument("--format", choices=("csv", "json", "pretty"),
+                       help="output format; a bound row's wall_ms times the conic "
+                            "solve alone, not the assembly or the rest of the level")
         p.add_argument("--seed", type=int, help="RNG seed for empirical specs")
         p.add_argument("--normalized", action="store_true",
                        help="report distances on the [0, 1] scale")

@@ -35,17 +35,11 @@ class FlatnessReport:
     rank_tol: float
 
 
-def _numerical_rank(mat: np.ndarray, rank_tol: float) -> int:
-    svals = np.linalg.svd(mat, compute_uv=False)
-    top = float(svals[0]) if svals.size else 0.0
-    if top <= 0.0:
-        return 0
-    return int(np.sum(svals > rank_tol * top))
-
-
 def flatness(seq: MomentSequence, n: int, rank_tol: float = DEFAULT_RANK_TOL) -> FlatnessReport:
     """Rank profile of the moment matrices M_0 .. M_n of a univariate
-    sequence; flat iff rank stabilizes at the top level."""
+    sequence; flat iff rank stabilizes at the top level.  The ranks come
+    from one batched SVD of M_0 .. M_n zero-padded to the order of M_n,
+    which adds only zero singular values (a zero M_k has rank 0)."""
     if seq.dim != 1:
         raise UnsupportedDimension("flatness analysis is univariate")
     if n < 1:
@@ -57,9 +51,10 @@ def flatness(seq: MomentSequence, n: int, rank_tol: float = DEFAULT_RANK_TOL) ->
             f"flatness at order {n} needs degree {2 * n}, sequence has "
             f"{seq.max_degree}"
         )
-    ranks = tuple(
-        _numerical_rank(moment_matrix(seq, k), rank_tol) for k in range(n + 1)
-    )
+    lead = np.tri(n + 1, dtype=bool)  # lead[k, i]: row i is in M_k
+    svals = np.linalg.svd(moment_matrix(seq, n) * (lead[:, :, None] & lead[:, None, :]),
+                          compute_uv=False)
+    ranks = tuple(int(r) for r in (svals > rank_tol * svals[:, :1]).sum(axis=1))
     flat = ranks[n] == ranks[n - 1]
     return FlatnessReport(ranks=ranks, flat=flat, flat_rank=ranks[n], rank_tol=rank_tol)
 
@@ -72,9 +67,11 @@ def extract_atoms(
 ) -> Atomic:
     """Extract the atomic measure behind a flat univariate sequence.
 
-    Atom locations are the eigenvalues of the shift operator built from the
-    rank-r eigendecomposition of M_n; weights solve the r x r Vandermonde
-    system against moments 0..r-1, and a Gauss-Newton polish refines both.
+    The ranks come from one batched SVD (``flatness``).  Atom locations are
+    the eigenvalues of the shift operator built from the rank-r
+    eigendecomposition of M_n; weights solve the r x r Vandermonde system
+    against moments 0..r-1, and a Gauss-Newton polish refines both until a
+    step fails to halve the moment error.
     Every weight must be positive and the reconstruction must reproduce the
     input moments to ``recon_tol`` (relative), otherwise IllConditioned is
     raised.  A flat rank of zero yields the empty measure.
@@ -126,19 +123,22 @@ def extract_atoms(
 def _newton_polish(points, weights, target, steps: int = 6):
     """Gauss-Newton refinement of (points, weights) against all target
     moments; the shift-operator initialization is accurate enough for
-    quadratic convergence."""
+    quadratic convergence.  It evaluates at most ``steps`` iterates, stops at
+    the first whose error is below 1e-15 or not half the one before, and
+    returns the best; no step is solved that is not evaluated."""
     r = len(points)
     deg = len(target) - 1
     scale = max(1.0, float(np.max(np.abs(target))))
     best = (points, weights)
     best_err = np.inf
-    for _ in range(steps):
+    for step in range(steps):
         vander = np.vander(points, deg + 1, increasing=True)  # (r, deg+1)
         resid = vander.T @ weights - target
         err = float(np.max(np.abs(resid))) / scale
+        halved = err <= 0.5 * best_err
         if err < best_err:
             best, best_err = (points.copy(), weights.copy()), err
-        if err < 1e-15:
+        if not halved or err < 1e-15 or step == steps - 1:
             break
         jac = np.empty((deg + 1, 2 * r))
         jac[:, :r] = vander.T

@@ -41,6 +41,8 @@ class Gaussian(MeasureSpec):
     stddev: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.mean) and math.isfinite(self.stddev)):
+            raise ValueError("gaussian mean and stddev must be finite")
         if self.stddev <= 0:
             raise ValueError("stddev must be positive")
 
@@ -54,6 +56,8 @@ class Exponential(MeasureSpec):
     rate: float
 
     def __post_init__(self):
+        if not math.isfinite(self.rate):
+            raise ValueError("rate must be finite")
         if self.rate <= 0:
             raise ValueError("rate must be positive")
 
@@ -76,6 +80,8 @@ class Atomic(MeasureSpec):
         w = np.asarray(self.weights, dtype=float).reshape(-1)
         if w.shape[0] != pts.shape[0]:
             raise ValueError("one weight per atom required")
+        if not (np.isfinite(pts).all() and np.isfinite(w).all()):
+            raise ValueError("atomic points and weights must be finite")
         if np.any(w <= 0):
             raise ValueError("atomic weights must be strictly positive")
         pts.setflags(write=False)
@@ -112,8 +118,8 @@ class Mixture(MeasureSpec):
         comps = tuple((float(w), spec) for w, spec in self.components)
         if not comps:
             raise ValueError("mixture needs at least one component")
-        if any(w <= 0 for w, _ in comps):
-            raise ValueError("mixture weights must be positive")
+        if not all(0 < w < math.inf for w, _ in comps):
+            raise ValueError("mixture weights must be positive and finite")
         if abs(sum(w for w, _ in comps) - 1.0) > _MIXTURE_WEIGHT_TOL:
             raise ValueError("mixture weights must sum to 1")
         dims = {spec.dim for _, spec in comps}
@@ -136,6 +142,8 @@ class Empirical(MeasureSpec):
         s = np.atleast_2d(np.asarray(self.samples, dtype=float))
         if s.size == 0:
             raise EmptySample("empirical spec needs at least one sample")
+        if not np.isfinite(s).all():
+            raise ValueError("empirical samples must be finite")
         s.setflags(write=False)
         object.__setattr__(self, "samples", s)
 

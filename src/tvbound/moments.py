@@ -131,6 +131,19 @@ def structure_tensor(d: int, n: int) -> np.ndarray:
     return tensor
 
 
+@lru_cache(maxsize=None)
+def _pascal(degree: int) -> tuple:
+    """For j, k <= ``degree``: C(k, j) as floats, the lower triangle j <= k,
+    and where b^(k - j) sits in [a^0 .. a^degree, b^0 .. b^degree]."""
+    k = np.arange(degree + 1)
+    lags = np.subtract.outer(k, k)
+    tables = (np.array([[float(comb(i, j)) for j in k] for i in k]), lags >= 0,
+              degree + 1 + np.maximum(lags, 0))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
 def affine_matrix(a: float, b: float, d: int, degree: int) -> np.ndarray:
     """B with v(a x + b) = B v(x) on the degree-``degree`` basis: in d = 1,
     B[k, j] = C(k, j) a^j b^(k - j); in d > 1, b must be 0 and B is diagonal."""
@@ -138,11 +151,10 @@ def affine_matrix(a: float, b: float, d: int, degree: int) -> np.ndarray:
         if b != 0.0:
             raise DimensionMismatch("shifted variable maps are univariate")
         return np.diag((1.0 / a) ** -_exponents(d, degree).sum(axis=1))
-    mat = np.zeros((degree + 1, degree + 1))
-    for k in range(degree + 1):
-        for j in range(k + 1):
-            mat[k, j] = comb(k, j) * a**j * b ** (k - j)
-    return mat
+    table, lower, b_at = _pascal(degree)
+    pows = np.array([a**j for j in range(degree + 1)] + [b**j for j in range(degree + 1)])
+    # the scalar formula's factors in its order, on the lower triangle only
+    return np.where(lower, table * pows[: degree + 1] * pows.take(b_at), 0.0)
 
 
 def power_sums(points: np.ndarray, weights: np.ndarray, max_degree: int) -> np.ndarray:

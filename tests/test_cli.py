@@ -316,9 +316,19 @@ def test_exact_does_not_warn_about_undersampling(tmp_path, capsys):
     dict(GAUSS_ROW, solver={"max_iter": 0}),
     dict(GAUSS_ROW, solver={"tol": -1}),
     dict(GAUSS_ROW, solver={"max_iter": 3, "accept_tol": "inf"}),
+    dict(GAUSS_ROW, mu={"type": "gaussian", "mean": "nan", "stddev": 0.1}),
+    dict(GAUSS_ROW, nu={"type": "gaussian", "mean": 1.0, "stddev": "inf"}),
+    dict(GAUSS_ROW, mu={"type": "exponential", "rate": "nan"}),
+    dict(DELTA, nu={"type": "atomic", "atoms": [{"point": 0.1, "weight": "nan"}]}),
+    dict(DELTA, nu={"type": "atomic", "atoms": [{"point": "inf", "weight": 1.0}]}),
+    dict(GAUSS_ROW, mu={"type": "mixture", "components": [
+        {"weight": "nan", "spec": GAUSS_ROW["mu"]}, {"weight": 1.0, "spec": GAUSS_ROW["nu"]}]}),
+    dict(GAUSS_ROW, mu={"type": "empirical", "samples": [[0.0], ["nan"]]}),
 ], ids=["tol-not-a-number", "seed-not-a-number", "solver-not-an-object",
         "unknown-solver-key", "config-not-an-object", "max-iter-zero", "tol-negative",
-        "accept-tol-infinite"])
+        "accept-tol-infinite", "gaussian-nan-mean", "gaussian-inf-stddev",
+        "exponential-nan-rate", "atomic-nan-weight", "atomic-inf-point",
+        "mixture-nan-weight", "empirical-nan-sample"])
 def test_malformed_config_is_a_config_error(tmp_path, capsys, payload):
     assert main(["bound", "--config", write_config(tmp_path, payload)]) == 3
     assert capsys.readouterr().err.startswith("config error:")

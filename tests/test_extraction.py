@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+import tvbound.extraction as extraction
 from tvbound.errors import DegreeTooLow, IllConditioned, NotFlat, UnsupportedDimension
 from tvbound.extraction import extract_atoms, flatness, recover_hahn_jordan
 from tvbound.measures import Atomic, Gaussian, exact_tv_atomic, moments
-from tvbound.moments import MomentSequence, power_sums
+from tvbound.moments import MomentSequence, moment_matrix, power_sums
 from tvbound.relaxation import solve_hierarchy, variable_map_for
 
 
@@ -41,6 +42,41 @@ def test_flatness_ranks_nondecreasing():
         report = flatness(seq, 4, rank_tol=1e-10)
         assert list(report.ranks) == sorted(report.ranks)
         assert report.flat and report.flat_rank == r
+
+
+def _ranks_one_svd_per_order(seq, n, rank_tol):
+    ranks = []
+    for k in range(n + 1):
+        svals = np.linalg.svd(moment_matrix(seq, k), compute_uv=False)
+        ranks.append(int(np.sum(svals > rank_tol * svals[0])) if svals[0] > 0 else 0)
+    return tuple(ranks)
+
+
+def _perturbed(seq, k, delta):
+    vals = seq.values.copy()
+    vals[k] += delta
+    return MomentSequence(1, seq.max_degree, vals)
+
+
+THREE_ATOMS = moments(Atomic.univariate([-1.0, 0.2, 1.3], [0.3, 0.4, 0.3]), 1, 8)
+
+
+@pytest.mark.parametrize("seq, n, ranks", [
+    pytest.param(THREE_ATOMS, 4, (1, 2, 3, 3, 3), id="flat"),
+    pytest.param(moments(Gaussian(0.5, 1.0), 1, 8), 4, (1, 2, 3, 4, 5), id="not-flat"),
+    # a fourth moment direction enters only at the top order
+    pytest.param(_perturbed(THREE_ATOMS, 8, 0.5), 4, (1, 2, 3, 3, 4), id="rank-deficient"),
+    # (1, 0, 0, 0, 1): M_1 has rank 1 and M_2 rank 2 of 3
+    pytest.param(MomentSequence(1, 4, [1.0, 0.0, 0.0, 0.0, 1.0]), 2, (1, 1, 2),
+                 id="rank-deficient-zero-middle"),
+    pytest.param(MomentSequence(1, 6, np.zeros(7)), 3, (0, 0, 0, 0), id="all-zero"),
+])
+def test_flatness_ranks_match_one_svd_per_order(seq, n, ranks):
+    for rank_tol in (1e-6, 1e-10):
+        report = flatness(seq, n, rank_tol)
+        assert report.ranks == _ranks_one_svd_per_order(seq, n, rank_tol)
+    assert flatness(seq, n).ranks == ranks
+    assert flatness(seq, n).flat == (ranks[-1] == ranks[-2])
 
 
 def test_flatness_validation():
@@ -195,3 +231,45 @@ def test_ill_conditioned_reconstruction_guard():
     # 1-atom reconstruction cannot reproduce gaussian moments
     with pytest.raises((IllConditioned, NotFlat)):
         extract_atoms(seq, 2, rank_tol=0.9, recon_tol=1e-8)
+
+
+# the fixed atomic pairs of the benchmark, with their exactness levels
+SPY_PAIRS = [
+    ("EX1", [-1.0, 0.0, 1.0, 2.0], [0.25] * 4, [-0.7, 0.3, 1.3, 2.3], [0.25] * 4, 4),
+    ("EX2", [-1.0, 0.0, 1.0, 2.0], [0.25] * 4, [-2.0, -1.0, 0.1, 1.5], [0.25] * 4, 4),
+    ("EX3", [0.0, 0.3, 0.4, 0.9], [0.25] * 4, [0.3, 0.6, 0.7, 1.2], [0.25] * 4, 4),
+    ("two-vs-three", [-1.0, 1.0], [0.6, 0.4], [-1.0, 0.2, 1.3], [0.3, 0.4, 0.3], 3),
+]
+
+
+@pytest.mark.parametrize("name, p1, w1, p2, w2, exact", SPY_PAIRS, ids=[p[0] for p in SPY_PAIRS])
+def test_extraction_makes_one_svd_and_few_lstsq(monkeypatch, name, p1, w1, p2, w2, exact):
+    # per extract_atoms: one SVD for the rank profile, and at most three
+    # least-squares solves (the shift operator and two polish steps)
+    counts = {"svd": 0, "lstsq": 0}
+    per_call = []
+
+    def counting(fn, key):
+        def wrapped(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    original = extraction.extract_atoms
+
+    def spy(*args, **kwargs):
+        counts.update(svd=0, lstsq=0)
+        out = original(*args, **kwargs)
+        per_call.append(dict(counts))
+        return out
+
+    mu, nu = Atomic.univariate(p1, w1), Atomic.univariate(p2, w2)
+    results = solve_hierarchy(mu, nu, range(exact, exact + 3))
+    monkeypatch.setattr(np.linalg, "svd", counting(np.linalg.svd, "svd"))
+    monkeypatch.setattr(np.linalg, "lstsq", counting(np.linalg.lstsq, "lstsq"))
+    monkeypatch.setattr(extraction, "extract_atoms", spy)
+    for res in results:
+        recover_hahn_jordan(res)
+    assert len(per_call) == 6
+    assert all(c["svd"] == 1 for c in per_call), per_call
+    assert all(c["lstsq"] <= 3 for c in per_call), per_call

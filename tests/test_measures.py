@@ -193,6 +193,28 @@ def test_density_tv_rejects_atomic():
         )
 
 
+@pytest.mark.parametrize("build", [
+    lambda: Gaussian(math.nan, 1.0),
+    lambda: Gaussian(0.0, math.inf),
+    lambda: Gaussian(0.0, math.nan),
+    lambda: Exponential(math.nan),
+    lambda: Exponential(math.inf),
+    lambda: Atomic.univariate([0.0, 1.0], [0.5, math.nan]),
+    lambda: Atomic.univariate([0.0, math.inf], [0.5, 0.5]),
+    lambda: Atomic(np.array([[0.0, math.nan]]), [1.0]),
+    lambda: Mixture(((math.nan, Gaussian(0, 1)), (1.0, Gaussian(1, 1)))),
+    lambda: Mixture(((math.inf, Gaussian(0, 1)), (1.0, Gaussian(1, 1)))),
+    lambda: Empirical(np.array([[0.0], [math.nan]])),
+    lambda: Empirical(np.array([[0.0], [-math.inf]])),
+], ids=["gaussian-nan-mean", "gaussian-inf-stddev", "gaussian-nan-stddev",
+        "exponential-nan-rate", "exponential-inf-rate", "atomic-nan-weight",
+        "atomic-inf-point", "atomic-2d-nan-point", "mixture-nan-weight",
+        "mixture-inf-weight", "empirical-nan-sample", "empirical-inf-sample"])
+def test_non_finite_parameters_are_refused(build):
+    with pytest.raises(ValueError, match="finite"):
+        build()
+
+
 def test_atomic_spec_validation():
     with pytest.raises(ValueError):
         Atomic.univariate([0.0], [0.0])

@@ -1,3 +1,5 @@
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from tvbound.indexing import basis_indices, basis_size
 from tvbound.measures import Atomic, moments
 from tvbound.moments import (
     MomentSequence,
+    affine_matrix,
     gram_preimage,
     moment_matrix,
     poly_from_gram,
@@ -216,3 +219,16 @@ def test_power_sums_are_the_moments_of_atoms(d):
 def test_power_sums_of_no_atoms_are_zero():
     assert np.array_equal(power_sums(np.zeros((0, 2)), np.zeros(0), 3),
                           np.zeros(basis_size(2, 3)))
+
+
+# a = 1 and b = 0 (identity), a < 1 and a > 1, each with b = 0 and b != 0
+@pytest.mark.parametrize("a, b", [(1.0, 0.0), (0.4, 0.0), (2.5, 0.0), (0.4, -0.3),
+                                  (2.5, 0.7), (1 / 3.7, -1.2 / 3.7), (3.7, 1.2)])
+def test_affine_matrix_is_the_scalar_double_loop(a, b):
+    # bit for bit: the same factors, multiplied in the same order
+    for degree in range(29):
+        loop = np.zeros((degree + 1, degree + 1))
+        for k in range(degree + 1):
+            for j in range(k + 1):
+                loop[k, j] = comb(k, j) * a**j * b ** (k - j)
+        assert np.array_equal(affine_matrix(a, b, 1, degree), loop), degree

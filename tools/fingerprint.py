@@ -24,7 +24,10 @@ pair's exact TV as a float hex, computed once per pair as the benchmark's
 thread count changes summation orders.  The second form lists the rows of
 two such files that differ, then sums them up per group
 (``bench/gaussian_table``, ``bench/atomic_exact``, ``bench/certified``,
-``wide``): how many rows are bit-identical (``36 of 36 identical``); per
+``wide``): how many rows are bit-identical (``36 of 36 identical``); how
+many differ only in the extracted atoms, every other field bit-identical,
+and the largest absolute change of an atom's point or weight among them
+(inf when the atom counts differ); per
 file the status counts, the IPM iteration total, the number of Optimal rows
 whose rho exceeds the TV by more than 1e-4 (the default ``accept_tol``) and
 the largest Optimal rho - TV, and the benchmark ops that failed (not
@@ -38,6 +41,7 @@ directory as ``--root``.  A run takes under a minute on one core.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -135,9 +139,28 @@ def _fields(row) -> list:
     return row.split("\t") if row is not None else ["(missing)", "-", "0", "-"]
 
 
+def _atom_shift(old: str, new: str) -> float:
+    """Largest absolute change of an atom's point or weight between two atom
+    fields; inf when the atoms do not pair up one to one."""
+
+    def parse(text):
+        return [[tuple(map(float.fromhex, atom.split(":"))) for atom in measure.split(",") if atom]
+                for measure in text.split("|")]
+
+    if "-" in (old, new):
+        return math.inf
+    a, b = parse(old), parse(new)
+    if [len(m) for m in a] != [len(m) for m in b]:
+        return math.inf
+    return max((abs(x - y) for ma, mb in zip(a, b) for pa, pb in zip(ma, mb)
+                for x, y in zip(pa, pb)), default=0.0)
+
+
 def summarize(a: Path, b: Path, left: dict, right: dict) -> None:
-    """Per group: how many rows are bit-identical; each file's status
-    counts, iteration total, Optimal rows above the TV by more than
+    """Per group: how many rows are bit-identical, and how many differ only
+    in the extracted atoms with the largest change of an atom's point or
+    weight among them; each file's status counts, iteration total, Optimal
+    rows above the TV by more than
     ``ACCEPT_TOL`` with the largest Optimal rho - TV, and failed benchmark
     ops (not Optimal, or an error text); then every row whose status
     changed, the largest |delta rho| over the rows Optimal on both sides,
@@ -147,6 +170,13 @@ def summarize(a: Path, b: Path, left: dict, right: dict) -> None:
         mine = [k for k in keys if k.startswith(group + "/")]
         same = sum(left.get(k) == right.get(k) for k in mine)
         print(f"\n== {group}: {same} of {len(mine)} identical")
+        shifts = [_atom_shift(old[5], new[5]) for old, new in
+                  ((_fields(left.get(k)), _fields(right.get(k))) for k in mine)
+                  if len(old) > 5 and old[5] != new[5] and old[:5] + old[6:] == new[:5] + new[6:]]
+        line = f"  {len(shifts)} rows differ only in the extracted atoms"
+        if shifts:
+            line += f"; largest change of an atom's point or weight {max(shifts):.3g}"
+        print(line)
         for path, rows in ((a, left), (b, right)):
             fields = {k: _fields(rows.get(k)) for k in mine}
             statuses = Counter(f[0] for f in fields.values())
