@@ -37,6 +37,11 @@ import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
+# `exact` runs the quadrature oracle, which imports scipy.integrate when
+# called; the CLI loads it up front because perfbench/run.py times this
+# import and has no value yet for a module the CLI does not load (ROADMAP
+# item 12)
+import scipy.integrate  # noqa: F401
 
 from .certificates import _identity_residuals, verify_certificate
 from .conic import SolveStatus

@@ -21,16 +21,27 @@ strictly feasible point.  The core starts infeasible and needs none, so it
 runs such a block as it is.  It solves each Newton system in NT-scaled
 coordinates, where S and Z are the same diagonal matrix: the
 complementarity terms and the step-length matrices are then entrywise
-products, the corrector's Lyapunov equation is solved entrywise, and no
-matrix is inverted.
+products, the corrector's Lyapunov equation is solved entrywise, and the
+scaling inverts no matrix.
 The affine map and its adjoint are one matmul each, and the dual
 projection and the Schur complement a few more.  Each iterate is factored
 once, by the cone check that accepts it, and each step-length pair is one
 eigen-solve, whatever the block orders, so a typical iteration makes one
 SVD (the scaling), one Cholesky (the cone check), two or three
-eigen-solves and one Cholesky of the Schur matrix, three ``dpotrs`` solves
-per direction and one for the polish; a check that the polished Z fails
-takes one more Cholesky, and each shrink of the step repeats the check.
+eigen-solves, and one Cholesky of the Schur matrix with one inverse of
+that factor; a check that the polished Z fails takes one more Cholesky,
+and each shrink of the step repeats the check.
+
+The package needs numpy only, and numpy has no triangular solve, so every
+linear solve goes through W, the inverse of a Cholesky factor (a^-1 =
+W^T W), and costs matvecs: at these orders a call costs more than its
+flops, and one ``np.linalg.solve`` costs several matvecs.  The Schur
+matrix changes every iteration and gets very ill-conditioned near
+degenerate optima, so each Schur solve applies W and then W^T, never
+their product, whose own rounding would enter every solve, and refines
+twice against M.  The Gram matrix of the dual projection is constant, so
+its inverse W^T W is formed once per solve, and each projection is one
+matvec.
 
 All computations are deterministic: identical inputs and settings produce
 bit-identical outputs.
@@ -42,7 +53,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
 
 class SolveStatus(enum.Enum):
@@ -57,10 +67,20 @@ def _sym(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.swapaxes(-1, -2))
 
 
-def _symmetric(a: np.ndarray) -> bool:
-    """Whether max|A - A^T| <= 1e-12 max(1, max|A|) over a matrix or a whole stack."""
-    scale = max(1.0, float(np.abs(a).max(initial=0.0)))
-    return bool(np.abs(a - a.swapaxes(-1, -2)).max(initial=0.0) <= 1e-12 * scale)
+def _symmetrized(a: np.ndarray, name: str) -> np.ndarray:
+    """Read-only symmetric copy of a matrix or a stack, from one pass over
+    A - A^T: an exactly symmetric array is copied as it is, one whose
+    asymmetry is at most 1e-12 max(1, max|A|) is symmetrized, and any other
+    raises ValueError."""
+    skew = float(np.abs(a - a.swapaxes(-1, -2)).max(initial=0.0))
+    if skew == 0.0:
+        a = a.copy()
+    elif skew <= 1e-12 * max(1.0, float(np.abs(a).max())):
+        a = _sym(a)
+    else:
+        raise ValueError(f"{name} must be symmetric")
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,16 +97,8 @@ class PsdBlock:
             raise ValueError("f0 must be square")
         if coeffs.ndim != 3 or coeffs.shape[1:] != f0.shape:
             raise ValueError("coeffs must be (m, s, s) matching f0")
-        if not _symmetric(f0):
-            raise ValueError("f0 must be symmetric")
-        if not _symmetric(coeffs):
-            raise ValueError("all coefficient matrices must be symmetric")
-        f0 = _sym(f0)
-        coeffs = _sym(coeffs)
-        f0.setflags(write=False)
-        coeffs.setflags(write=False)
-        object.__setattr__(self, "f0", f0)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "f0", _symmetrized(f0, "f0"))
+        object.__setattr__(self, "coeffs", _symmetrized(coeffs, "coefficient matrices"))
 
     @property
     def size(self) -> int:
@@ -204,6 +216,13 @@ def _chol(a: np.ndarray):
     return None
 
 
+def _inverse_factor(a: np.ndarray):
+    """W = L^-1 for the factor L = ``_chol(a)``, jitter included, so that
+    a^-1 = W^T W; None if ``_chol`` finds no factor."""
+    factor = _chol(a)
+    return None if factor is None else np.linalg.inv(factor)
+
+
 def _in_cone(stack: np.ndarray):
     """Strict Cholesky factors of a stack, or None if any matrix has none."""
     try:
@@ -274,7 +293,8 @@ def _solve_cone(c, f0, coeffs, settings: SolverSettings):
       which drops the polish.  If that fails too, both step lengths shrink
       by 0.8; after 40 tries the solve stops as ``numerical``;
     * the dual is kept on the affine dual-feasibility manifold by one
-      least-change projection along the F_i (its Gram matrix is constant).
+      least-change projection along the F_i (its Gram matrix is constant,
+      and its inverse is formed once).
       Every dual direction is projected so that adjoint(dZ) = c - adjoint(Z)
       (in scaled coordinates adjoint(dz) = P dz, and the shift enters as
       G^T (.) G): the NT formula recovers dZ from the Schur solution only up
@@ -303,15 +323,18 @@ def _solve_cone(c, f0, coeffs, settings: SolverSettings):
     def adjoint(z):
         return op @ z.reshape(-1)
 
-    # constant Gram matrix of the dual-feasibility map, for the projection
-    gram_chol = _chol(_sym(op @ op.T))
+    # inverse W^T W of the constant Gram matrix of the dual-feasibility map,
+    # formed once per solve so that each projection is one matvec; None if
+    # the Gram is singular
+    gram_w = _inverse_factor(_sym(op @ op.T))
+    gram_inv = None if gram_w is None else gram_w.T @ gram_w
 
     def dual_shift(residual):
         """Coefficients and matrices of the least-change shift sum_i lam_i F_i
         whose adjoint is ``residual``; None if the Gram is singular."""
-        if gram_chol is None:
+        if gram_inv is None:
             return None
-        lam = lapack.dpotrs(gram_chol, residual, lower=1)[0]
+        lam = gram_inv @ residual
         return lam, linear(lam)
 
     def polish(z):
@@ -402,12 +425,21 @@ def _solve_cone(c, f0, coeffs, settings: SolverSettings):
         # entrywise form of diag(sig)^-1/2 (.) diag(sig)^-1/2
         unit = (1.0 / np.sqrt(col * row)).reshape(-1)
 
-        # Schur complement  M_ij = <P_i, P_j>
-        M = _sym(P @ P.T)
-        mchol = _chol(M)
-        if mchol is None:
+        # Schur complement  M_ij = <P_i, P_j>; numpy runs P @ P.T as one
+        # symmetric rank-k update, so M is exactly symmetric
+        M = P @ P.T
+        w = _inverse_factor(M)
+        if w is None:
             status, reason = SolveStatus.NUMERICAL_FAILURE, "numerical"
             break
+
+        def schur_solve(rhs):
+            # W then W^T, never their product, and two rounds of iterative
+            # refinement against M (see the module docstring)
+            dx = w.T @ (w @ rhs)
+            for _ in range(2):
+                dx = dx + w.T @ (w @ (rhs - M @ dx))
+            return dx
 
         def direction(sigma, corr):
             # scaled complementarity ds + dz = sigma mu diag(sig)^-1 - diag(sig)
@@ -415,11 +447,7 @@ def _solve_cone(c, f0, coeffs, settings: SolverSettings):
             e = sigma * mu * inv_diag - diag - rp_s
             if corr is not None:
                 e = e - corr
-            rhs = P @ e - rd
-            dx = lapack.dpotrs(mchol, rhs, lower=1)[0]
-            # one round of iterative refinement; the Schur system gets very
-            # ill-conditioned near degenerate optima
-            dx = dx + lapack.dpotrs(mchol, rhs - M @ dx, lower=1)[0]
+            dx = schur_solve(P @ e - rd)
             ds = rp_s + dx @ P
             dz = e + rp_s - ds
             # dz meets adjoint(dz) = P dz = rd only up to the Schur solve's
@@ -435,7 +463,7 @@ def _solve_cone(c, f0, coeffs, settings: SolverSettings):
             # the largest alpha keeping S + alpha ds PSD is -1 / lambda_min of
             # diag(sig)^-1/2 ds diag(sig)^-1/2, and likewise for Z; one
             # eigen-solve for both
-            scaled = (np.stack([ds, dz]) * unit).reshape(-1, s, s)
+            scaled = (np.array((ds, dz)) * unit).reshape(-1, s, s)
             lams = np.linalg.eigvalsh(scaled).reshape(2, -1).min(axis=1)
             return [min(1.0, _STEP_FRACTION * (np.inf if lam >= -1e-14 else -1.0 / lam))
                     for lam in lams.tolist()]

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .errors import (
     DimensionMismatch,
@@ -305,7 +303,12 @@ def exact_tv_univariate_density(mu: MeasureSpec, nu: MeasureSpec) -> float:
     changes on a common window, the integral is taken piecewise between the
     located roots, and the neglected tail mass is accounted for in the error
     budget.  Raises QuadratureNonConvergent if the budget exceeds ``_QUAD_ABS_TOL``.
+    This oracle is the library's only use of scipy, imported here so that
+    ``import tvbound`` and every solve load numpy only.
     """
+    from scipy.integrate import quad
+    from scipy.optimize import brentq
+
     terms_mu = _density_terms(mu)
     terms_nu = _density_terms(nu)
     if mu.dim != 1 or nu.dim != 1:

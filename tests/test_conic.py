@@ -216,24 +216,18 @@ def test_iteration_factors_each_iterate_once(monkeypatch):
     # iteration reuses the factors of that check, and each step-length pair
     # takes one eigen-solve.  The blocks are one stack, so the kernel-reduced
     # level, whose three blocks keep order 5, takes one SVD per iteration
-    # too, besides the one of its kernel reduction.  A typical iteration makes
-    # seven dpotrs solves: three per direction and one for the polish.  The
-    # per-solve allowance covers the Gram of the dual projection and the
-    # rare retry of the check, without the polished Z or with a shrunk step
-    counts = dict.fromkeys(("cholesky", "eigvalsh", "svd"), 0)
+    # too, besides the one of its kernel reduction.  The linear solves are
+    # matvecs with inverses taken once: one inverse of the Schur factor per
+    # iteration and one of the dual-projection Gram's factor per solve.  The
+    # per-solve allowance covers the Gram's Cholesky and the rare retry of
+    # the check, without the polished Z or with a shrunk step
+    counts = dict.fromkeys(("cholesky", "eigvalsh", "svd", "inv"), 0)
     for name in counts:
         def counted(*args, _call=getattr(np.linalg, name), _name=name, **kwargs):
             counts[_name] += 1
             return _call(*args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
-    counts["dpotrs"] = 0
-
-    def dpotrs(*args, _call=conic.lapack.dpotrs, **kwargs):
-        counts["dpotrs"] += 1
-        return _call(*args, **kwargs)
-
-    monkeypatch.setattr(conic.lapack, "dpotrs", dpotrs)
-    iterations = reduced = 0
+    iterations = reduced = solves = 0
     for mu, nu, n in ((Gaussian(0.0, 0.5), Gaussian(1.0, 0.5), 3),
                       (Gaussian(0.8, 0.05), Gaussian(1.0, 0.01), 4),
                       (Atomic.univariate([-1.0, 1.0], [0.6, 0.4]),
@@ -242,11 +236,12 @@ def test_iteration_factors_each_iterate_once(monkeypatch):
         assert res.status == SolveStatus.OPTIMAL
         iterations += res.solve.iterations
         reduced += res.problem.reduced
+        solves += 1
     assert reduced == 1
     assert counts["cholesky"] <= 2 * iterations + 8
     assert counts["eigvalsh"] <= 3 * iterations
     assert counts["svd"] == iterations + reduced
-    assert counts["dpotrs"] <= 7 * iterations + 8
+    assert counts["inv"] == iterations + solves
 
 
 # the nine pairs of the published Gaussian table
