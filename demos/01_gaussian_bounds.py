@@ -19,7 +19,7 @@ mu = Gaussian(mean=0.0, stddev=0.2)
 nu = Gaussian(mean=1.0, stddev=0.2)
 
 tv = exact_tv_univariate_density(mu, nu)
-print(f"target: ||mu - nu||_TV = {tv:.6f}  (quadrature, [0, 2] scale)")
+print(f"target: ||mu - nu||_TV = {tv:.6f}  (exact, [0, 2] scale)")
 print(f"two-moment closed form: {nishiyama_bound(0.0, 0.2, 1.0, 0.2):.6f}")
 print()
 

@@ -28,7 +28,7 @@ nu_spec = Gaussian(0.0, 0.8)
 
 tv = exact_tv_univariate_density(mu_spec, nu_spec)
 exact_sweep = solve_hierarchy(mu_spec, nu_spec, levels=[1, 2, 3])
-print(f"quadrature TV = {tv:.6f}")
+print(f"exact TV = {tv:.6f}")
 print("bounds from exact moments:   ",
       " ".join(f"rho_{r.level}={r.rho:.4f}" for r in exact_sweep))
 

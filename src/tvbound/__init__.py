@@ -31,7 +31,6 @@ from .errors import (
     EmptySample,
     IllConditioned,
     NotFlat,
-    QuadratureNonConvergent,
     TvBoundError,
     UnsupportedDimension,
 )
@@ -104,7 +103,6 @@ __all__ = [
     "MonomialBasis",
     "NotFlat",
     "PsdBlock",
-    "QuadratureNonConvergent",
     "RelaxationProblem",
     "SolveResult",
     "SolveStatus",

@@ -3,7 +3,7 @@
 Subcommands:
     bound    hierarchy sweep, one row per level (rho_n, dual value, gap,
              status, and wall_ms, the time of the conic solve alone)
-    exact    exact / quadrature TV oracle for atomic, empirical or density specs
+    exact    exact TV oracle for atomic, empirical or density specs
     extract  atomic Hahn-Jordan pair from the optimal pseudo-moments
     moments  dump the truncated moment sequences of both measures
     certify  recover, verify and dump the dual SOS certificate
@@ -37,10 +37,9 @@ import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
-# `exact` runs the quadrature oracle, which imports scipy.integrate when
-# called; the CLI loads it up front because perfbench/run.py times this
-# import and has no value yet for a module the CLI does not load (ROADMAP
-# item 12)
+# no command uses scipy; the CLI still loads scipy.integrate because
+# perfbench/run.py times this import and has no value yet for a module the
+# CLI does not load (ROADMAP item 12)
 import scipy.integrate  # noqa: F401
 
 from .certificates import _identity_residuals, verify_certificate
@@ -261,6 +260,7 @@ def cmd_exact(cfg: RunConfig) -> int:
     else:
         try:
             tv = exact_tv_univariate_density(cfg.mu, cfg.nu)
+            # the density oracle's label in the output, which scripts read
             method = "quadrature"
         except (ValueError, TvBoundError) as exc:
             print(f"error: no exact oracle applies: {exc}", file=sys.stderr)

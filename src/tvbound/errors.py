@@ -21,10 +21,6 @@ class EmptySample(TvBoundError):
     """An empirical estimate was requested from an empty sample."""
 
 
-class QuadratureNonConvergent(TvBoundError):
-    """Adaptive quadrature could not reach the requested tolerance."""
-
-
 class CertificateMismatch(TvBoundError):
     """A dual certificate violates one of its defining identities."""
 

@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the library's own code paths: moments
 come from Gauss-Hermite quadrature instead of recurrences, TV values from
-closed forms, and SDP optima from a log-barrier Newton method or plain grid
-search instead of the primal-dual solver.
+closed forms or scipy's adaptive quadrature, and SDP optima from a
+log-barrier Newton method or plain grid search instead of the primal-dual
+solver.
 """
 
 import itertools
@@ -27,6 +28,49 @@ def normal_cdf(x):
 def gaussian_tv_equal_var(m1, m2, sigma):
     """Closed form for equal variances: 2 (2 Phi(|dm| / (2 sigma)) - 1)."""
     return 2.0 * (2.0 * normal_cdf(abs(m1 - m2) / (2.0 * sigma)) - 1.0)
+
+
+def gaussian_tv(m1, s1, m2, s2):
+    """TV of N(m1, s1^2) and N(m2, s2^2) from the crossings of the densities.
+
+    The densities cross where (x - m2)^2 / (2 s2^2) - (x - m1)^2 / (2 s1^2)
+    + ln(s2 / s1) = 0: at both roots of this quadratic when s1 != s2, at the
+    root of the linear equation when s1 == s2.  Between crossings one density
+    dominates, so the TV sums |Phi_1 - Phi_2| differences, Phi by math.erfc.
+    """
+    a = 0.5 / s2**2 - 0.5 / s1**2
+    b = m1 / s1**2 - m2 / s2**2
+    c = 0.5 * m2**2 / s2**2 - 0.5 * m1**2 / s1**2 + math.log(s2 / s1)
+    if a == 0.0:
+        roots = [-c / b]
+    else:
+        q = -0.5 * (b + math.copysign(math.sqrt(b * b - 4.0 * a * c), b))
+        roots = sorted([q / a, c / q])
+
+    def cdf_gap(x):
+        return (0.5 * math.erfc(-(x - m1) / (s1 * math.sqrt(2.0)))
+                - 0.5 * math.erfc(-(x - m2) / (s2 * math.sqrt(2.0))))
+
+    cuts = [cdf_gap(-math.inf), *map(cdf_gap, roots), cdf_gap(math.inf)]
+    return sum(abs(hi - lo) for lo, hi in zip(cuts[:-1], cuts[1:]))
+
+
+def normal_pdf(mean, std):
+    return lambda x: math.exp(-0.5 * ((x - mean) / std) ** 2) / (std * math.sqrt(2.0 * math.pi))
+
+
+def exponential_pdf(rate):
+    return lambda x: rate * math.exp(-rate * x) if x >= 0 else 0.0
+
+
+def quad_tv(pdf_mu, pdf_nu, lo, hi, points=()):
+    """Integral of |pdf_mu - pdf_nu| over [lo, hi] by scipy's adaptive
+    quadrature, with ``points`` (a density's jump) as forced breakpoints."""
+    from scipy.integrate import quad
+
+    value, _ = quad(lambda x: abs(pdf_mu(x) - pdf_nu(x)), lo, hi, points=points,
+                    limit=500, epsabs=1e-12, epsrel=1e-12)
+    return value
 
 
 def atomic_tv(points_mu, weights_mu, points_nu, weights_nu, tol=1e-9):

@@ -245,7 +245,7 @@ def test_recover_requires_uncompressed_blocks():
 
 
 def test_tv_equal_var_oracle_matches_rho_limit():
-    # the level-4 bound sits below the quadrature TV but already close
+    # the level-4 bound sits below the exact TV but already close
     tv = gaussian_tv_equal_var(0, 1, 0.2)
     res = solve_level(*gaussian_pair(0, 0.2, 1, 0.2, 8), 4)
     assert res.rho <= tv + 1e-6

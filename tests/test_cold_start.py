@@ -1,9 +1,9 @@
 """The library path loads numpy only.
 
-``import tvbound`` and every solve, certificate check and extraction run
-without scipy; only the quadrature oracle ``exact_tv_univariate_density``
-(and the CLI) import it, inside the call.  A fresh interpreter shows what a
-cold start pays for, whatever this test process has already imported.
+``import tvbound`` and every solve, certificate check, extraction and
+density TV oracle run without scipy; only the CLI imports it.  A fresh
+interpreter shows what a cold start pays for, whatever this test process
+has already imported.
 """
 
 import json
@@ -16,8 +16,8 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # one Gaussian level, one atomic level with its Hahn-Jordan extraction and
-# one certify level with its certificate check; then the scipy modules
-# loaded so far, and the quadrature oracle on N(0, .5^2) against N(1, .5^2)
+# one certify level with its certificate check; the density oracle on
+# N(0, .5^2) against N(1, .5^2); then the scipy modules loaded so far
 _PROBE = """
 import json
 import sys
@@ -41,8 +41,8 @@ recover_hahn_jordan(res)
 res, m_mu, m_nu = level(Gaussian(0.0, 0.5), Gaussian(1.0, 0.5), 2,
                         HierarchySettings(certify=True))
 verify_certificate(res.certificate, m_mu, m_nu)
-scipy_modules = sorted(name for name in sys.modules if name.startswith("scipy"))
 tv = exact_tv_univariate_density(Gaussian(0.0, 0.5), Gaussian(1.0, 0.5))
+scipy_modules = sorted(name for name in sys.modules if name.startswith("scipy"))
 print(json.dumps({"scipy_modules": scipy_modules, "tv": tv}))
 """
 
@@ -58,4 +58,4 @@ def test_library_path_imports_no_scipy():
     assert report["scipy_modules"] == []
     # 2 (2 Phi(1) - 1) = 2 erf(1 / sqrt 2): the two means lie two standard
     # deviations apart, and the densities cross halfway
-    assert abs(report["tv"] - 2.0 * math.erf(1.0 / math.sqrt(2.0))) <= 1e-8
+    assert abs(report["tv"] - 2.0 * math.erf(1.0 / math.sqrt(2.0))) <= 1e-14

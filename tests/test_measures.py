@@ -17,7 +17,15 @@ from tvbound.measures import (
     sample,
 )
 
-from oracles import atomic_tv, gaussian_tv_equal_var, hermgauss_moments
+from oracles import (
+    atomic_tv,
+    exponential_pdf,
+    gaussian_tv,
+    gaussian_tv_equal_var,
+    hermgauss_moments,
+    normal_pdf,
+    quad_tv,
+)
 
 
 def test_gaussian_moments_against_quadrature():
@@ -159,11 +167,11 @@ def test_density_tv_identical_is_zero():
 def test_density_tv_closed_form_values():
     # 2 (2 Phi(5) - 1) and 2 (2 Phi(1) - 1), from the equal-variance formula
     tv1 = exact_tv_univariate_density(Gaussian(0, 0.1), Gaussian(1, 0.1))
-    assert tv1 == pytest.approx(gaussian_tv_equal_var(0, 1, 0.1), abs=1e-6)
-    assert tv1 == pytest.approx(1.9999988533937, abs=1e-6)
+    assert tv1 == pytest.approx(gaussian_tv_equal_var(0, 1, 0.1), abs=1e-12)
+    assert tv1 == pytest.approx(1.9999988533937, abs=1e-12)
     tv2 = exact_tv_univariate_density(Gaussian(0, 0.5), Gaussian(1, 0.5))
-    assert tv2 == pytest.approx(gaussian_tv_equal_var(0, 1, 0.5), abs=1e-6)
-    assert tv2 == pytest.approx(1.3653789842742, abs=1e-6)
+    assert tv2 == pytest.approx(gaussian_tv_equal_var(0, 1, 0.5), abs=1e-12)
+    assert tv2 == pytest.approx(1.3653789842742, abs=1e-12)
 
 
 def test_density_tv_matches_closed_form_randomly():
@@ -172,7 +180,7 @@ def test_density_tv_matches_closed_form_randomly():
         m1, m2 = rng.uniform(-2, 2, 2)
         sigma = float(rng.uniform(0.05, 1.5))
         got = exact_tv_univariate_density(Gaussian(m1, sigma), Gaussian(m2, sigma))
-        assert got == pytest.approx(gaussian_tv_equal_var(m1, m2, sigma), abs=1e-5)
+        assert got == pytest.approx(gaussian_tv_equal_var(m1, m2, sigma), abs=1e-12)
 
 
 def test_density_tv_mixture_and_exponential():
@@ -183,7 +191,62 @@ def test_density_tv_mixture_and_exponential():
     # closed form: densities cross at x* = ln(2), TV = 2 |e^{-x*} - e^{-2 x*}|
     x_star = math.log(2.0)
     expected = 2.0 * abs(math.exp(-x_star) - math.exp(-2 * x_star))
-    assert tv_exp == pytest.approx(expected, abs=1e-6)
+    assert tv_exp == pytest.approx(expected, abs=1e-12)
+
+
+# the nine published Gaussian pairs of acceptance criterion 1; five have
+# equal variances (one crossing), four unequal ones (two crossings)
+PUBLISHED_GAUSSIAN_PAIRS = [
+    ((0.0, 0.1), (1.0, 0.1)),
+    ((0.0, 0.2), (1.0, 0.2)),
+    ((0.0, 0.1), (1.0, 0.5)),
+    ((0.0, 0.5), (1.0, 0.5)),
+    ((0.5, 0.1), (1.0, 0.1)),
+    ((0.5, 0.1), (1.0, 0.5)),
+    ((0.8, 0.1), (1.0, 0.1)),
+    ((0.8, 0.05), (1.0, 0.1)),
+    ((0.8, 0.05), (1.0, 0.01)),
+]
+
+
+@pytest.mark.parametrize("first,second", PUBLISHED_GAUSSIAN_PAIRS)
+def test_density_tv_published_gaussian_pairs_closed_form(first, second):
+    got = exact_tv_univariate_density(Gaussian(*first), Gaussian(*second))
+    assert got == pytest.approx(gaussian_tv(*first, *second), abs=1e-12)
+
+
+def _mixture_pdf(*parts):
+    return lambda x: sum(w * pdf(x) for w, pdf in parts)
+
+
+# the five density pairs of the criterion-5 property matrix, each with its
+# two densities written out for the quadrature reference
+PROPERTY_DENSITY_PAIRS = {
+    "bimodal-vs-normal": (
+        Mixture(((0.5, Gaussian(-1.0, 0.3)), (0.5, Gaussian(1.0, 0.3)))), Gaussian(0.0, 0.8),
+        _mixture_pdf((0.5, normal_pdf(-1.0, 0.3)), (0.5, normal_pdf(1.0, 0.3))),
+        normal_pdf(0.0, 0.8)),
+    "two-component-vs-normal": (
+        Mixture(((0.3, Gaussian(0.0, 0.2)), (0.7, Gaussian(1.0, 0.4)))), Gaussian(0.5, 0.5),
+        _mixture_pdf((0.3, normal_pdf(0.0, 0.2)), (0.7, normal_pdf(1.0, 0.4))),
+        normal_pdf(0.5, 0.5)),
+    "exp-mixture-vs-normal": (
+        Mixture(((0.6, Exponential(1.0)), (0.4, Gaussian(2.0, 0.5)))), Gaussian(1.0, 1.0),
+        _mixture_pdf((0.6, exponential_pdf(1.0)), (0.4, normal_pdf(2.0, 0.5))),
+        normal_pdf(1.0, 1.0)),
+    "exponential-1-vs-2": (
+        Exponential(1.0), Exponential(2.0), exponential_pdf(1.0), exponential_pdf(2.0)),
+    "exponential-vs-normal": (
+        Exponential(1.5), Gaussian(1.0, 0.6), exponential_pdf(1.5), normal_pdf(1.0, 0.6)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROPERTY_DENSITY_PAIRS))
+def test_density_tv_property_matrix_pairs_against_quadrature(name):
+    mu, nu, pdf_mu, pdf_nu = PROPERTY_DENSITY_PAIRS[name]
+    # the densities are below 1e-20 outside [-15, 60]; 0 is the exponential's jump
+    reference = quad_tv(pdf_mu, pdf_nu, -15.0, 60.0, points=(0.0,))
+    assert exact_tv_univariate_density(mu, nu) == pytest.approx(reference, abs=1e-9)
 
 
 def test_density_tv_rejects_atomic():

@@ -27,7 +27,8 @@ two such files that differ, then sums them up per group
 ``wide``): how many rows are bit-identical (``36 of 36 identical``); how
 many differ only in the extracted atoms, every other field bit-identical,
 and the largest absolute change of an atom's point or weight among them
-(inf when the atom counts differ); per
+(inf when the atom counts differ); how many differ only in the TV, and the
+largest |delta TV| among them; per
 file the status counts, the IPM iteration total, the number of Optimal rows
 whose rho exceeds the TV by more than 1e-4 (the default ``accept_tol``) and
 the largest Optimal rho - TV, and the benchmark ops that failed (not
@@ -139,6 +140,12 @@ def _fields(row) -> list:
     return row.split("\t") if row is not None else ["(missing)", "-", "0", "-"]
 
 
+def _only_in(column: int, old: list, new: list) -> bool:
+    """Whether two rows' fields differ in ``column`` and nowhere else."""
+    return (len(old) > column and old[column] != new[column]
+            and old[:column] + old[column + 1:] == new[:column] + new[column + 1:])
+
+
 def _atom_shift(old: str, new: str) -> float:
     """Largest absolute change of an atom's point or weight between two atom
     fields; inf when the atoms do not pair up one to one."""
@@ -157,9 +164,10 @@ def _atom_shift(old: str, new: str) -> float:
 
 
 def summarize(a: Path, b: Path, left: dict, right: dict) -> None:
-    """Per group: how many rows are bit-identical, and how many differ only
-    in the extracted atoms with the largest change of an atom's point or
-    weight among them; each file's status counts, iteration total, Optimal
+    """Per group: how many rows are bit-identical; how many differ only in
+    the extracted atoms, with the largest change of an atom's point or
+    weight among them; how many differ only in the TV, with the largest
+    |delta TV| among them; each file's status counts, iteration total, Optimal
     rows above the TV by more than
     ``ACCEPT_TOL`` with the largest Optimal rho - TV, and failed benchmark
     ops (not Optimal, or an error text); then every row whose status
@@ -170,12 +178,17 @@ def summarize(a: Path, b: Path, left: dict, right: dict) -> None:
         mine = [k for k in keys if k.startswith(group + "/")]
         same = sum(left.get(k) == right.get(k) for k in mine)
         print(f"\n== {group}: {same} of {len(mine)} identical")
-        shifts = [_atom_shift(old[5], new[5]) for old, new in
-                  ((_fields(left.get(k)), _fields(right.get(k))) for k in mine)
-                  if len(old) > 5 and old[5] != new[5] and old[:5] + old[6:] == new[:5] + new[6:]]
+        pairs = [(_fields(left.get(k)), _fields(right.get(k))) for k in mine]
+        shifts = [_atom_shift(old[5], new[5]) for old, new in pairs if _only_in(5, old, new)]
         line = f"  {len(shifts)} rows differ only in the extracted atoms"
         if shifts:
             line += f"; largest change of an atom's point or weight {max(shifts):.3g}"
+        print(line)
+        tv_moves = [abs(float.fromhex(new[3]) - float.fromhex(old[3]))
+                    for old, new in pairs if _only_in(3, old, new)]
+        line = f"  {len(tv_moves)} rows differ only in the TV"
+        if tv_moves:
+            line += f"; largest |delta TV| {max(tv_moves):.3g}"
         print(line)
         for path, rows in ((a, left), (b, right)):
             fields = {k: _fields(rows.get(k)) for k in mine}
