@@ -6,9 +6,9 @@ degree-2n pseudo-moment pairs dominated by the inputs' moment matrices;
 rho_n increases with n and converges to ||mu - nu||_TV (on the [0, 2] scale
 for probability measures).  A solve with ``certify=True`` also yields a
 dual sum-of-squares certificate that can be verified independently (it
-turns the kernel reduction off), and when the optimal pseudo-moments are
-flat their atomic representatives (the numerical Hahn-Jordan pair) can be
-extracted.
+turns off the kernel reduction, which solves a flat atomic input on the
+face its points span), and when the optimal pseudo-moments are flat their
+atomic representatives (the numerical Hahn-Jordan pair) can be extracted.
 
 One settings object drives a solve: ``HierarchySettings`` is the conic
 solver's ``SolverSettings`` with the hierarchy's defaults, plus

@@ -166,7 +166,7 @@ def moments(spec: MeasureSpec, d: int, max_degree: int) -> MomentSequence:
     Gaussian and exponential moments are closed-form and univariate only;
     atomic and empirical moments are weighted power sums in any dimension
     (a sample of N points has weights 1/N and mass exactly 1);
-    mixtures combine component moments convexly.
+    mixtures combine component moments convexly; only atoms set ``support``.
     """
     if spec.dim != d:
         raise DimensionMismatch(f"spec has dimension {spec.dim}, requested {d}")
@@ -182,7 +182,8 @@ def moments(spec: MeasureSpec, d: int, max_degree: int) -> MomentSequence:
         )
         return MomentSequence(1, max_degree, vals)
     if isinstance(spec, Atomic):
-        return MomentSequence(d, max_degree, power_sums(spec.points, spec.weights, max_degree))
+        return MomentSequence(d, max_degree, power_sums(spec.points, spec.weights, max_degree),
+                              spec.points)
     if isinstance(spec, Mixture):
         vals = sum(w * moments(comp, d, max_degree).values for w, comp in spec.components)
         return MomentSequence(d, max_degree, vals)

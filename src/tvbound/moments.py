@@ -5,8 +5,8 @@ table: the moment operator y -> M_n(y) = sum_a y_a T[a] (``moment_matrix``,
 ``structure_tensor``), its adjoint G -> coefficients of v_n^T G v_n
 (``poly_from_gram``) with its least-norm preimage (``gram_preimage``), the
 basis change of an affine map of the variable (``affine_matrix``), and the
-moments of atoms (``power_sums``).  Other modules go through these, so a
-different polynomial basis changes this module only.
+monomials and moments of atoms (``power_vectors``, ``power_sums``).  Other
+modules go through these, so a different polynomial basis changes this module only.
 """
 
 from __future__ import annotations
@@ -27,12 +27,14 @@ class MomentSequence:
 
     Values are stored densely, aligned with the graded-lex basis of
     ``basis_indices(dim, max_degree)``; in dimension 1 position k simply holds
-    the k-th moment.  Instances are immutable.
+    the k-th moment.  ``support``, (r, dim) finite points, is set when these
+    are moments of atoms there (``moments`` of an ``Atomic``).  Immutable.
     """
 
     dim: int
     max_degree: int
     values: np.ndarray
+    support: np.ndarray | None = None
 
     def __post_init__(self):
         expected = basis_size(self.dim, self.max_degree)
@@ -44,6 +46,12 @@ class MomentSequence:
             )
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
+        if self.support is not None:
+            pts = np.array(self.support, dtype=float)
+            if pts.shape[1:] != (self.dim,) or not pts.size or not np.isfinite(pts).all():
+                raise ValueError(f"support must be r >= 1 finite points, shape (r, {self.dim})")
+            pts.setflags(write=False)
+            object.__setattr__(self, "support", pts)
 
     @property
     def basis(self) -> MonomialBasis:
@@ -71,7 +79,7 @@ class MomentSequence:
         if max_degree == self.max_degree:
             return self
         return MomentSequence(
-            self.dim, max_degree, self.values[: basis_size(self.dim, max_degree)]
+            self.dim, max_degree, self.values[: basis_size(self.dim, max_degree)], self.support
         )
 
 
@@ -155,6 +163,13 @@ def affine_matrix(a: float, b: float, d: int, degree: int) -> np.ndarray:
     pows = np.array([a**j for j in range(degree + 1)] + [b**j for j in range(degree + 1)])
     # the scalar formula's factors in its order, on the lower triangle only
     return np.where(lower, table * pows[: degree + 1] * pows.take(b_at), 0.0)
+
+
+def power_vectors(points: np.ndarray, max_degree: int) -> np.ndarray:
+    """The (s, r) matrix whose column i holds the monomials x^alpha,
+    |alpha| <= ``max_degree``, at the point ``points[i]`` (shape (r, d))."""
+    exps = _exponents(np.shape(points)[1], max_degree)
+    return np.prod(np.asarray(points, dtype=float)[None] ** exps[:, None, :], axis=2)
 
 
 def power_sums(points: np.ndarray, weights: np.ndarray, max_degree: int) -> np.ndarray:

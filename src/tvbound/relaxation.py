@@ -21,15 +21,14 @@ Numerics.  Three exact reformulations precondition the solve:
   measures, and ``VariableMap`` is the one place the map is implemented;
 * each solver block is conjugated by a diagonal equilibration, which is a
   congruence and changes nothing mathematically;
-* when the data moment matrices are exactly singular (atomic inputs at or
-  above the exactness level), the feasible set lies on a face of the cone,
-  which ``kernel_reduce`` reaches in one facial-reduction step: it
-  substitutes phi = x0 + N z, the phi that annihilate the verified
-  kernels, so the solver's variable is z.  The blocks keep their order
-  s(n) and the kernels as constant kernels, which the interior-point
-  solver handles as they are; an affine set that contains the feasible
-  set is all the step needs.  The conic program it returns is the one the
-  solver runs.
+* when an atomic input is flat at n (at or above its exactness level),
+  the feasible set lies on a face of the cone, which ``kernel_reduce``
+  reaches in one facial-reduction step read off the atoms: it substitutes
+  phi = mu + N z, N the atoms' power vectors, so the solver's variable is
+  z (see ``assemble``).  The blocks keep their order s(n) and the kernels
+  as constant kernels, which the interior-point solver handles as they
+  are; an affine set that contains the feasible set is all the step
+  needs.  The conic program it returns is the one the solver runs.
 """
 
 from __future__ import annotations
@@ -44,18 +43,21 @@ from .conic import ConicProgram, PsdBlock, SolveResult, SolveStatus, SolverSetti
 from .errors import CertificateMismatch, DegreeTooLow, DimensionMismatch
 from .indexing import basis_size
 from .measures import MeasureSpec, moments
-from .moments import MomentSequence, affine_matrix, moment_matrix, structure_tensor
+from .moments import (MomentSequence, affine_matrix, moment_matrix, power_vectors,
+                      structure_tensor)
 
 
 def _affine_moments(seq: MomentSequence, a: float, b: float) -> MomentSequence:
-    """Moments of the pushforward of ``seq`` under x -> a x + b.
+    """Moments of the pushforward of ``seq`` under x -> a x + b, and its
+    support mapped pointwise.
 
     B is lower triangular, so moment k sums the first k + 1 terms of row k,
     left to right.  B @ m is as accurate, but at high degree B is
     ill-conditioned and the BLAS summation order moves solver statuses.
     """
     mat = affine_matrix(a, b, seq.dim, seq.max_degree)
-    return MomentSequence(seq.dim, seq.max_degree, np.cumsum(mat * seq.values, axis=1).diagonal())
+    return MomentSequence(seq.dim, seq.max_degree, np.cumsum(mat * seq.values, axis=1).diagonal(),
+                          None if seq.support is None else a * seq.support + b)
 
 
 @dataclass(frozen=True)
@@ -124,9 +126,9 @@ class RelaxationProblem:
     ``equilibrations`` holds the diagonal congruence applied to each solver
     block; block duals must be conjugated back by it before any certificate
     use.  Every program has three blocks of order s(n) = ``basis_size(d, n)``.
-    On a reduced program the variable is z in phi = x0 + null_basis @ z,
-    substituted into the same blocks; otherwise ``x0`` and ``null_basis``
-    are None and the variable is phi itself.
+    On a reduced program the variable is z in phi = x0 + null_basis @ z, x0
+    = mu and ``null_basis`` the face's power vectors, substituted into the
+    same blocks; otherwise both are None and the variable is phi itself.
     """
 
     dim: int
@@ -146,34 +148,23 @@ def _equilibration(mat: np.ndarray) -> np.ndarray:
     return 1.0 / np.sqrt(np.maximum(diag, floor))
 
 
-def _exact_kernel(mat: np.ndarray) -> np.ndarray:
-    """Verified kernel of a PSD data matrix, as orthonormal columns: the
-    eigenvectors of eigenvalues at or below 1e-12 of the largest that the
-    matrix annihilates to data precision."""
-    w, v = np.linalg.eigh(mat)
-    lam_max = max(float(w[-1]), 0.0)
-    kernel = v[:, w <= 1e-12 * lam_max]
-    # only trust directions annihilated to data precision; one matrix-vector
-    # product per direction, as a stack
-    residual = np.abs(mat @ kernel.T[:, :, None]).max(axis=(1, 2))
-    return kernel[:, residual <= 1e-11 * max(lam_max, 1.0)]
+def _face_atoms(mu: MomentSequence, nu: MomentSequence, n: int) -> np.ndarray | None:
+    """Atoms whose power vectors span phi - mu on the feasible set: those both
+    share if both are flat at n (identical float points; ``exact_tv_atomic``
+    merges within 1e-9), else the flat one's; None if neither is."""
 
+    def flat(pts, d):
+        # the r distinct atoms if rank V_{n-1} = r; on the line, if r <= n
+        pts = np.unique(pts, axis=0)
+        rank = min(len(pts), n) if d == 1 else np.linalg.matrix_rank(power_vectors(pts, n - 1))
+        return pts if rank == len(pts) else None
 
-# singular values at or below this share of the largest count as zero in
-# the kernel rows of ``_null_space``
-_RANK_TOL = 1e-8
-
-
-def _null_space(a: np.ndarray) -> np.ndarray:
-    """Orthonormal basis, as columns, of the null space of the rows of ``a``.
-
-    The rows are scaled to unit norm before the SVD, since their norms may
-    differ by many orders of magnitude, and the rank is cut at ``_RANK_TOL``.
-    """
-    norms = np.linalg.norm(a, axis=1, keepdims=True)
-    _, sv, vt = np.linalg.svd(a / np.where(norms > 0, norms, 1.0),
-                              full_matrices=a.shape[0] < a.shape[1])
-    return vt[int((sv > _RANK_TOL * sv[:1]).sum()):].T
+    pts_mu, pts_nu = (None if seq.support is None else flat(seq.support, seq.dim)
+                      for seq in (mu, nu))
+    if pts_mu is None or pts_nu is None:
+        return pts_nu if pts_mu is None else pts_mu
+    pts, counts = np.unique(np.concatenate([pts_mu, pts_nu]), axis=0, return_counts=True)
+    return pts[counts == 2]
 
 
 def _level_inputs(mu: MomentSequence, nu: MomentSequence, n: int):
@@ -196,7 +187,16 @@ def assemble(
     n: int,
     kernel_reduce: bool = False,
 ) -> RelaxationProblem:
-    """Build the level-n conic program from two degree-2n moment sequences."""
+    """Build the level-n conic program from two degree-2n moment sequences.
+
+    With ``kernel_reduce`` the variable may be z in phi = mu + N z, N the
+    power vectors v_2n(y_j) of ``_face_atoms``: the kernel of a measure flat
+    at n (rank V_{n-1} = r for its r distinct atoms, ``support``) forces what
+    it dominates (phi for mu, psi for nu) into their span.  On the line this
+    is the kernel face: r <= n atoms x_j give ker M_n(mu) = q0 R[x]_{<=n-r},
+    q0 = prod (x - x_j), whose rows L_phi(x^m q0) = 0, m = 0..2n-r, leave
+    span{v_2n(x_j)}.
+    """
     mu, nu = _level_inputs(mu, nu, n)
     d = mu.dim
     s2n = basis_size(d, 2 * n)
@@ -227,34 +227,17 @@ def assemble(
     ]
 
     x0 = null_basis = None
-    if kernel_reduce:
-        # kernels of the data matrices, in their equilibrated frames
-        k_mu = _exact_kernel(em_mu)
-        k_nu = _exact_kernel(m_nu * np.outer(d_nu, d_nu))
-        if k_mu.shape[1] + k_nu.shape[1]:
-            # M(mu) v = 0 and 0 <= M(phi) <= M(mu) force M(phi) v = 0, and
-            # M(nu) w = 0 forces M(psi) w = 0, affine in phi: s rows per
-            # kernel vector, v before w, in C order (sums along rows follow the
-            # layout); the right side is one matrix-vector product per w
-            eq_a = np.ascontiguousarray(np.concatenate(
-                [np.tensordot(t, k, axes=([2], [0])).T.reshape(-1, s2n)
-                 for t, k in ((t_mu, k_mu), (t_nu, k_nu))]))
-            eq_b = np.concatenate([np.zeros(k_mu.shape[1] * s),
-                                   (-em_nu_side @ k_nu.T[:, :, None]).ravel()])
-            # forcing the kernels must be consistent with the Hankel
-            # structure; bail out of the reduction otherwise
-            sol, *_ = np.linalg.lstsq(eq_a, eq_b, rcond=None)
-            if np.linalg.norm(eq_a @ sol - eq_b) <= 1e-9 * (1.0 + np.linalg.norm(eq_b)):
-                x0, null_basis = sol, _null_space(eq_a)
-                # substitute phi = x0 + N z; each entry of the products is
-                # one moment times one tensor entry, so the blocks stay
-                # exactly symmetric
-                sub = np.vstack([x0, null_basis.T])
-                p_mu, p_nu = (np.tensordot(sub, t, axes=1) for t in (t_mu, t_nu))
-                block_data = [(f0 + p[0], p[1:])
-                              for (f0, _), p in zip(block_data, (p_mu, -p_mu, p_nu))]
-                offset += float(c @ x0)
-                c = null_basis.T @ c
+    atoms = _face_atoms(mu, nu, n) if kernel_reduce else None
+    if atoms is not None:
+        x0, null_basis = mu.values, power_vectors(atoms, 2 * n)
+        # substitute phi = x0 + N z; each entry of the products is one
+        # coordinate times one tensor entry, so the blocks stay exactly symmetric
+        sub = np.vstack([x0, null_basis.T])
+        p_mu, p_nu = (np.tensordot(sub, t, axes=1) for t in (t_mu, t_nu))
+        block_data = [(f0 + p[0], p[1:])
+                      for (f0, _), p in zip(block_data, (p_mu, -p_mu, p_nu))]
+        offset += float(c @ x0)
+        c = null_basis.T @ c
 
     program = ConicProgram(
         c=c, blocks=tuple(PsdBlock(f0, coeffs) for f0, coeffs in block_data), offset=offset
@@ -273,10 +256,10 @@ class HierarchySettings(SolverSettings):
 
     ``accept_tol`` is the accuracy at which a solve still counts as Optimal
     when the target ``tol`` turns out to be unreachable (nearly singular
-    data); achieved tolerances are always reported.  ``certify`` recovers a
-    dual SOS certificate per level; it disables the kernel reduction because
-    certificate recovery maps raw block multipliers, which must be
-    stationary in every moment of phi, not in z alone.  The change of
+    data); achieved tolerances are always reported.  ``kernel_reduce``
+    solves on the face of the atomic inputs (see ``assemble``); ``certify``,
+    which recovers a dual SOS certificate per level, disables it: recovery
+    maps raw block multipliers, stationary in every moment of phi.  The change of
     variables is not a setting: every solve runs in the frame of
     ``variable_map_for`` unless ``solve_level`` is given another
     ``VariableMap``, such as the identity ``VariableMap()``.

@@ -216,7 +216,8 @@ def test_iteration_factors_each_iterate_once(monkeypatch):
     # iteration reuses the factors of that check, and each step-length pair
     # takes one eigen-solve.  The blocks are one stack, so the kernel-reduced
     # level, whose three blocks keep order 5, takes one SVD per iteration
-    # too, besides the one of its kernel reduction.  The linear solves are
+    # too, and its face, spanned by the power vectors of its atoms, takes
+    # none.  The linear solves are
     # matvecs with inverses taken once: one inverse of the Schur factor per
     # iteration and one of the dual-projection Gram's factor per solve.  The
     # per-solve allowance covers the Gram's Cholesky and the rare retry of
@@ -240,7 +241,7 @@ def test_iteration_factors_each_iterate_once(monkeypatch):
     assert reduced == 1
     assert counts["cholesky"] <= 2 * iterations + 8
     assert counts["eigvalsh"] <= 3 * iterations
-    assert counts["svd"] == iterations + reduced
+    assert counts["svd"] == iterations
     assert counts["inv"] == iterations + solves
 
 

@@ -13,6 +13,7 @@ from tvbound.moments import (
     moment_matrix,
     poly_from_gram,
     power_sums,
+    power_vectors,
     riesz_vector,
     structure_tensor,
 )
@@ -117,6 +118,24 @@ def test_truncated_prefix():
         seq.truncated(6)
 
 
+def test_atomic_support_survives_truncation():
+    pts = np.array([[0.5, -1.0], [2.0, 0.25]])
+    seq = moments(Atomic(pts, [0.3, 0.7]), 2, 6)
+    assert np.array_equal(seq.support, pts)
+    assert np.array_equal(seq.truncated(2).support, pts)
+    with pytest.raises(ValueError):
+        seq.support[0, 0] = 1.0
+    # a bare sequence names no atoms
+    assert MomentSequence(2, 6, seq.values).support is None
+
+
+@pytest.mark.parametrize("support", [np.zeros((2, 2)), np.zeros(3), np.zeros((0, 1)),
+                                     [[0.0], [np.nan]], [[np.inf]]])
+def test_support_of_wrong_shape_or_non_finite_is_refused(support):
+    with pytest.raises(ValueError):
+        MomentSequence(1, 2, [1.0, 0.0, 1.0], support)
+
+
 def test_values_immutable():
     seq = MomentSequence(1, 2, [1.0, 0.0, 1.0])
     with pytest.raises(ValueError):
@@ -214,6 +233,17 @@ def test_power_sums_are_the_moments_of_atoms(d):
         direct = [np.sum(w * np.prod(pts ** np.array(a), axis=1))
                   for a in basis_indices(d, degree).indices]
         assert np.allclose(sums, direct, rtol=1e-12, atol=1e-12)
+
+
+def test_power_vectors_are_the_moments_of_unit_atoms():
+    rng = np.random.default_rng(7)
+    for d in (1, 2, 3):
+        pts = rng.uniform(-2, 2, size=(5, d))
+        vecs = power_vectors(pts, 4)
+        assert vecs.shape == (basis_size(d, 4), 5)
+        for j in range(5):
+            assert np.allclose(vecs[:, j], power_sums(pts[j:j + 1], [1.0], 4),
+                               rtol=1e-14, atol=0.0)
 
 
 def test_power_sums_of_no_atoms_are_zero():

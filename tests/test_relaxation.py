@@ -14,7 +14,7 @@ from tvbound.measures import (
     exact_tv_univariate_density,
     moments,
 )
-from tvbound.moments import moment_matrix
+from tvbound.moments import MomentSequence, moment_matrix
 from tvbound.relaxation import (
     HierarchySettings,
     VariableMap,
@@ -76,6 +76,40 @@ def test_assemble_counts_kernel_reduced():
     assert len(prob.equilibrations) == 3
 
 
+def test_solver_frame_maps_the_support_pointwise():
+    pts = [-1.5, 0.25, 3.0]
+    mu = moments(Atomic.univariate(pts, [0.2, 0.5, 0.3]), 1, 12).truncated(8)
+    nu = moments(Gaussian(1.0, 2.0), 1, 8)
+    var_map = variable_map_for(mu, nu, 4)
+    assert var_map.shift != 0.0 and var_map.scale != 1.0
+    solver = var_map.seq_to_solver(mu)
+    expected = (np.array(pts) - var_map.shift) / var_map.scale
+    assert np.allclose(solver.support[:, 0], expected, rtol=1e-15, atol=1e-15)
+    assert var_map.seq_to_solver(nu).support is None
+
+
+def test_bare_sequence_of_atoms_is_not_reduced():
+    # the same moments without their points: the face is not guessed from
+    # the singular moment matrices
+    mu = moments(Atomic.univariate([0.0, 1.0], [0.5, 0.5]), 1, 8)
+    nu = moments(Atomic.univariate([0.5, 2.0], [0.5, 0.5]), 1, 8)
+    assert assemble(mu, nu, 4, kernel_reduce=True).reduced
+    bare_mu, bare_nu = (MomentSequence(1, 8, seq.values) for seq in (mu, nu))
+    assert not assemble(bare_mu, bare_nu, 4, kernel_reduce=True).reduced
+    assert not solve_level(bare_mu, bare_nu, 4).problem.reduced
+
+
+def test_face_needs_flat_atoms_in_the_plane():
+    # three points are flat at n=2 unless they are collinear, since then
+    # the degree-1 monomials cannot tell them apart
+    w = [0.3, 0.3, 0.4]
+    nu = moments(Atomic([[5.0, 5.0], [6.0, 5.0], [5.0, 7.0], [7.0, 7.0]], [0.25] * 4), 2, 4)
+    triangle = moments(Atomic([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], w), 2, 4)
+    line = moments(Atomic([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]], w), 2, 4)
+    assert assemble(triangle, nu, 2, kernel_reduce=True).reduced
+    assert not assemble(line, nu, 2, kernel_reduce=True).reduced
+
+
 def test_assemble_validation():
     mu, nu = gaussian_pair(0, 1, 1, 1, 2)
     with pytest.raises(DegreeTooLow):
@@ -134,12 +168,14 @@ def test_hierarchy_close_atoms_above_exactness():
         assert abs(res.rho - 1.5) <= settings.accept_tol, res.level
 
 
-# levels where a gap score of <S, Z> alone passed a dual objective that had
-# run off, and the solve reported Optimal with rho far above the TV (n=6, 11
-# and 13), with the rest of the kernel-reduced n=9..14 of (0,.1)/(1,.5); rho
-# <= 2 is asserted at these only, since the reduced solves of (0,.1)/(1,.1)
-# end Optimal up to 3.3e-8 above 2, within accept_tol of their TV
-AT_MOST_TWO = {((0.8, 0.05), (1.0, 0.01)): (6,), ((0.0, 0.1), (1.0, 0.5)): range(9, 15)}
+# rho <= mu(1) + nu(1) = 2 at the levels where a gap score of <S, Z> alone
+# passed a dual objective that had run off, and the solve reported Optimal
+# with rho far above the TV (n=6, 11 and 13), with the rest of n=9..14 of
+# (0,.1)/(1,.5); and at n=9..14 of (0,.1)/(1,.1), which ended Optimal up to
+# 6.9e-8 above 2 while they were solved on a kernel face guessed from the
+# float moment matrices of these densities
+AT_MOST_TWO = {((0.8, 0.05), (1.0, 0.01)): (6,), ((0.0, 0.1), (1.0, 0.5)): range(9, 15),
+               ((0.0, 0.1), (1.0, 0.1)): range(9, 15)}
 
 # the nine pairs of the published Gaussian table, and Exponential 1 against 2
 HIGH_LEVEL_PAIRS = tuple(
@@ -159,6 +195,8 @@ def test_no_optimal_bound_above_total_variation(mu, nu, at_most_two):
     tv = exact_tv_univariate_density(mu, nu)
     for n in range(5, 15):
         res = solve_hierarchy(mu, nu, [n], settings)[0]
+        # densities have no atoms, so no level is solved on a face
+        assert not res.problem.reduced, n
         if res.status == SolveStatus.OPTIMAL:
             assert res.rho <= tv + settings.accept_tol, (n, res.rho, tv)
             if n in at_most_two:
@@ -184,8 +222,25 @@ def test_close_diracs_level_7_converges():
     assert abs(res.rho - 2.0) <= settings.accept_tol
 
 
+def test_two_atom_pair_is_pinned_past_exactness():
+    # random3-2 of the benchmark's atomic pairs, disjoint two-atom measures:
+    # both are flat from n=2, so phi = mu and psi = nu is the one feasible
+    # point.  When the face was read off the float moment matrices, n=6..8
+    # ended Infeasible
+    mu = Atomic.univariate([-1.9743644693427593, 1.0905968049015544],
+                           [0.6160499404852712, 0.3839500595147289])
+    nu = Atomic.univariate([-1.2499691370888604, -0.72127345486934],
+                           [0.7453595509554045, 0.25464044904459543])
+    settings = HierarchySettings()
+    for res in solve_hierarchy(mu, nu, range(6, 11), settings):
+        assert res.problem.reduced and res.problem.program.n_vars == 0
+        assert res.status == SolveStatus.OPTIMAL, res.level
+        assert abs(res.rho - 2.0) <= settings.accept_tol, res.level
+
+
 def test_reduced_blocks_keep_the_full_order():
-    # past exactness the kernel face of these pairs keeps a free variable.
+    # past exactness the kernel face of these pairs keeps a free variable,
+    # the weight of their shared atom.
     # assemble substitutes phi = x0 + N z into the three blocks, so every
     # block keeps the order s(n) and the data kernel as a constant kernel,
     # which the interior-point core runs as it is
