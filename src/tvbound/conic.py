@@ -25,12 +25,12 @@ products, the corrector's Lyapunov equation is solved entrywise, and the
 scaling inverts no matrix.
 The affine map and its adjoint are one matmul each, and the dual
 projection and the Schur complement a few more.  Each iterate is factored
-once, by the cone check that accepts it, and each step-length pair is one
-eigen-solve, whatever the block orders, so a typical iteration makes one
-SVD (the scaling), one Cholesky (the cone check), two or three
-eigen-solves, and one Cholesky of the Schur matrix with one inverse of
-that factor; a check that the polished Z fails takes one more Cholesky,
-and each shrink of the step repeats the check.
+once, by the cone check that accepts it, and the predictor's and the
+corrector's step-length pairs are one eigen-solve each, whatever the block
+orders, so an iteration makes one SVD (the scaling), one Cholesky (the cone
+check), two eigen-solves, and one Cholesky of the Schur matrix with one
+inverse of that factor; a check that the polished Z fails takes one more
+Cholesky, and each shrink of the step repeats the check.
 
 The package needs numpy only, and numpy has no triangular solve, so every
 linear solve goes through W, the inverse of a Cholesky factor (a^-1 =
@@ -278,7 +278,7 @@ def _solve_cone(c, f0, coeffs, settings: SolverSettings):
     Lyapunov equation D X + X D = ds dz + dz ds, D = diag(sig), for the
     predictor's ds and dz: X_ij = sym(ds dz)_ij / ((sig_i + sig_j) / 2).  Each
     step-length pair is one eigen-solve, on the stacked
-    diag(sig)^-1/2 ds diag(sig)^-1/2 and the same for dz.  The chosen
+    diag(sig)^-1/2 ds diag(sig)^-1/2 and the same for dz.  The corrected
     direction goes back to the unscaled frame once per iteration,
     dS = G ds G^T and dZ = G^-T dz G^-1, for the cone check and the polish
     below.
@@ -476,13 +476,6 @@ def _solve_cone(c, f0, coeffs, settings: SolverSettings):
                 / (0.5 * (col + row))).reshape(-1)
         dx, ds, dz = direction(sigma, corr)
         ap, ad = step_lengths(ds, dz)
-        # fall back to the centered direction without the second-order
-        # term if the corrector crippled the step
-        if min(ap, ad) < 0.1 * min(ap_a, ad_a):
-            dx2, ds2, dz2 = direction(sigma, None)
-            ap2, ad2 = step_lengths(ds2, dz2)
-            if min(ap2, ad2) > min(ap, ad):
-                dx, ds, dz, ap, ad = dx2, ds2, dz2, ap2, ad2
         # back to the unscaled frame: dS = G ds G^T and dZ = G^-T dz G^-1
         ds = G @ ds.reshape(f0.shape) @ Gt
         dz = Ginvt @ dz.reshape(f0.shape) @ Ginv

@@ -39,13 +39,15 @@ def flatness(seq: MomentSequence, n: int, rank_tol: float = DEFAULT_RANK_TOL) ->
     """Rank profile of the moment matrices M_0 .. M_n of a univariate
     sequence; flat iff rank stabilizes at the top level.  The ranks come
     from one batched SVD of M_0 .. M_n zero-padded to the order of M_n,
-    which adds only zero singular values (a zero M_k has rank 0)."""
+    which adds only zero singular values (a zero M_k has rank 0).
+    ``rank_tol``, the singular-value cut relative to the largest, must lie
+    in (0, 1); other values, NaN too, raise ValueError."""
     if seq.dim != 1:
         raise UnsupportedDimension("flatness analysis is univariate")
     if n < 1:
         raise ValueError("flatness needs n >= 1")
-    if rank_tol <= 0:
-        raise ValueError("rank_tol must be positive")
+    if not 0.0 < rank_tol < 1.0:
+        raise ValueError(f"rank_tol must lie in (0, 1), not {rank_tol!r}")
     if seq.max_degree < 2 * n:
         raise DegreeTooLow(
             f"flatness at order {n} needs degree {2 * n}, sequence has "
@@ -74,8 +76,11 @@ def extract_atoms(
     step fails to halve the moment error.
     Every weight must be positive and the reconstruction must reproduce the
     input moments to ``recon_tol`` (relative), otherwise IllConditioned is
-    raised.  A flat rank of zero yields the empty measure.
+    raised; ``recon_tol`` must be positive and finite, else ValueError.  A
+    flat rank of zero yields the empty measure.
     """
+    if not 0.0 < recon_tol < np.inf:
+        raise ValueError(f"recon_tol must be positive and finite, not {recon_tol!r}")
     report = flatness(seq, n, rank_tol)
     if not report.flat:
         raise NotFlat(f"ranks {report.ranks} do not stabilize at order {n}")

@@ -213,15 +213,16 @@ def test_max_iter_reports_every_step(max_iter):
 def test_iteration_factors_each_iterate_once(monkeypatch):
     # an iteration factors the Schur matrix and checks the candidate iterate
     # (S, Z and the polished Z together) with one Cholesky; the next
-    # iteration reuses the factors of that check, and each step-length pair
-    # takes one eigen-solve.  The blocks are one stack, so the kernel-reduced
+    # iteration reuses the factors of that check, and the predictor's and
+    # the corrector's step-length pairs take one eigen-solve each, with no
+    # third direction.  The blocks are one stack, so the kernel-reduced
     # level, whose three blocks keep order 5, takes one SVD per iteration
     # too, and its face, spanned by the power vectors of its atoms, takes
-    # none.  The linear solves are
-    # matvecs with inverses taken once: one inverse of the Schur factor per
-    # iteration and one of the dual-projection Gram's factor per solve.  The
-    # per-solve allowance covers the Gram's Cholesky and the rare retry of
-    # the check, without the polished Z or with a shrunk step
+    # none.  The linear solves are matvecs with inverses taken once: one
+    # inverse of the Schur factor per iteration and one of the
+    # dual-projection Gram's factor per solve.  The per-solve allowance
+    # covers the Gram's Cholesky and the rare retry of the check, without
+    # the polished Z or with a shrunk step
     counts = dict.fromkeys(("cholesky", "eigvalsh", "svd", "inv"), 0)
     for name in counts:
         def counted(*args, _call=getattr(np.linalg, name), _name=name, **kwargs):
@@ -240,7 +241,7 @@ def test_iteration_factors_each_iterate_once(monkeypatch):
         solves += 1
     assert reduced == 1
     assert counts["cholesky"] <= 2 * iterations + 8
-    assert counts["eigvalsh"] <= 3 * iterations
+    assert counts["eigvalsh"] == 2 * iterations
     assert counts["svd"] == iterations
     assert counts["inv"] == iterations + solves
 

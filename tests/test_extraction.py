@@ -85,8 +85,17 @@ def test_flatness_validation():
         flatness(seq, 3)
     with pytest.raises(ValueError):
         flatness(seq, 0)
-    with pytest.raises(ValueError):
-        flatness(seq, 2, rank_tol=0.0)
+    # a cut of NaN, inf or >= 1 reported the Gaussian flat at rank 0, and
+    # extract_atoms returned the empty measure for it; a NaN recon_tol
+    # disabled the reconstruction check
+    for bad in (0.0, -1.0, 1.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            flatness(seq, 2, rank_tol=bad)
+        with pytest.raises(ValueError):
+            extract_atoms(seq, 2, rank_tol=bad)
+    for bad in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            extract_atoms(seq, 2, recon_tol=bad)
     multi = MomentSequence(2, 2, np.zeros(6))
     with pytest.raises(UnsupportedDimension):
         flatness(multi, 1)

@@ -222,6 +222,24 @@ def test_close_diracs_level_7_converges():
     assert abs(res.rho - 2.0) <= settings.accept_tol
 
 
+def test_four_atom_pair_certified_level_9_converges():
+    # random0-4 of the benchmark's atomic pairs, disjoint four-atom measures,
+    # solved unreduced as certify solves it.  While a short corrected step
+    # fell back to the centered direction, n=9 ended MaxIter after 250
+    # iterations
+    mu = Atomic.univariate(
+        [-0.5688192131637191, -0.05665856467284369, 1.557951337396001, 1.7361740638249987],
+        [0.3065419827048681, 0.18392721513370505, 0.31772502283500076, 0.19180577932642615])
+    nu = Atomic.univariate(
+        [-1.0913696258664811, -0.4335239978873551, 0.49274857874416966, 1.5610974080191693],
+        [0.06344888761400334, 0.4110576297264716, 0.38990945572886765, 0.13558402693065744])
+    settings = HierarchySettings(certify=True)
+    (res,) = solve_hierarchy(mu, nu, [9], settings)
+    assert res.status == SolveStatus.OPTIMAL
+    assert res.certificate is not None
+    assert abs(res.rho - 2.0) <= 2 * settings.accept_tol
+
+
 def test_two_atom_pair_is_pinned_past_exactness():
     # random3-2 of the benchmark's atomic pairs, disjoint two-atom measures:
     # both are flat from n=2, so phi = mu and psi = nu is the one feasible
