@@ -9,7 +9,8 @@ Gram matrices of size s(n), satisfying the coefficient identities
 
 Its value  integral p d(mu - nu) - integral sigma1 dmu - integral psi1 dnu
 is a lower bound on rho_n (weak duality) and hence on the TV distance; with
-strictly feasible data (densities) it matches rho_n exactly.
+strictly feasible data (densities) it matches rho_n exactly.  A
+DualCertificate checks the identities and its Gram matrices when it is built.
 
 The solver sees three blocks, not four (the domination blocks M(mu) - M(phi)
 and M(nu) - M(psi) are one matrix after eliminating psi), so its three
@@ -42,6 +43,8 @@ class DualCertificate:
 
     ``p`` holds coefficients over the degree-2n basis; the four Gram
     matrices have size s(n) and represent sigma0, sigma1, psi0, psi1.
+    Construction raises CertificateMismatch unless both identities hold to
+    IDENTITY_TOL and every Gram eigenvalue is at least GRAM_EIG_FLOOR.
     """
 
     level: int
@@ -66,6 +69,21 @@ class DualCertificate:
             raise ValueError("p must live on the degree-2n basis")
         p.setflags(write=False)
         object.__setattr__(self, "p", p)
+        res1, res2 = _identity_residuals(self)
+        if res1 > IDENTITY_TOL:
+            raise CertificateMismatch(
+                f"identity 1 - p = sigma0 - sigma1 violated by {res1:.3e}"
+            )
+        if res2 > IDENTITY_TOL:
+            raise CertificateMismatch(
+                f"identity 1 + p = psi0 - psi1 violated by {res2:.3e}"
+            )
+        for name in ("sigma0", "sigma1", "psi0", "psi1"):
+            eig = float(np.linalg.eigvalsh(getattr(self, "gram_" + name))[0])
+            if eig < GRAM_EIG_FLOOR:
+                raise CertificateMismatch(
+                    f"Gram matrix of {name} has eigenvalue {eig:.3e}"
+                )
 
     def polynomials(self):
         """Coefficient vectors of sigma0, sigma1, psi0, psi1 over the
@@ -89,29 +107,6 @@ def _identity_residuals(cert: DualCertificate) -> tuple[float, float]:
             float(np.max(np.abs((one + cert.p) - (psi0 - psi1)))))
 
 
-def _check_certificate(cert: DualCertificate):
-    res1, res2 = _identity_residuals(cert)
-    if res1 > IDENTITY_TOL:
-        raise CertificateMismatch(
-            f"identity 1 - p = sigma0 - sigma1 violated by {res1:.3e}"
-        )
-    if res2 > IDENTITY_TOL:
-        raise CertificateMismatch(
-            f"identity 1 + p = psi0 - psi1 violated by {res2:.3e}"
-        )
-    for name, gram in (
-        ("sigma0", cert.gram_sigma0),
-        ("sigma1", cert.gram_sigma1),
-        ("psi0", cert.gram_psi0),
-        ("psi1", cert.gram_psi1),
-    ):
-        eig = float(np.linalg.eigvalsh(gram)[0])
-        if eig < GRAM_EIG_FLOOR:
-            raise CertificateMismatch(
-                f"Gram matrix of {name} has eigenvalue {eig:.3e}"
-            )
-
-
 def recover_certificate(result: HierarchyResult) -> DualCertificate:
     """Map the solver's block multipliers to a dual SOS certificate.
 
@@ -127,7 +122,8 @@ def recover_certificate(result: HierarchyResult) -> DualCertificate:
     Requires an Optimal solve without the kernel-face reduction (use
     ``HierarchySettings(certify=True)``): on the face the variable is z in
     phi = x0 + N z, so the multipliers are stationary in z only, not in
-    every moment of phi.
+    every moment of phi.  A certificate that fails its own check when it
+    is built raises CertificateMismatch.
     """
     if result.status != SolveStatus.OPTIMAL:
         raise ValueError("certificate recovery needs an Optimal solve")
@@ -184,29 +180,27 @@ def recover_certificate(result: HierarchyResult) -> DualCertificate:
     p = psi0 - psi1
     p[0] -= 1.0
 
-    cert = DualCertificate(
+    return DualCertificate(
         level=n, dim=d, p=p,
         gram_sigma0=g_sigma0, gram_sigma1=g_sigma1,
         gram_psi0=g_psi0, gram_psi1=g_psi1,
     )
-    _check_certificate(cert)
-    return cert
 
 
 def verify_certificate(cert: DualCertificate, mu: MomentSequence, nu: MomentSequence) -> float:
-    """Independently recompute and validate a certificate's value.
+    """Evaluate a certificate's dual value from the certificate and the
+    moments alone, independently of the solver.
 
-    Checks the coefficient identities and the PSD-ness of all four Gram
-    matrices, then evaluates the dual value from the certificate and the
-    moments alone.  The returned number is a valid lower bound on rho_n (and
-    on the TV distance) up to the stated tolerances.
+    The certificate checked its identities and Gram matrices when it was
+    built, so the returned number is a valid lower bound on rho_n (and on
+    the TV distance) up to the stated tolerances.  Raises DegreeTooLow when
+    the moments stop short of degree 2n.
     """
     if mu.max_degree < 2 * cert.level or nu.max_degree < 2 * cert.level:
         raise DegreeTooLow(
             f"certificate of level {cert.level} needs moments to degree "
             f"{2 * cert.level}"
         )
-    _check_certificate(cert)
     _, sigma1, _, psi1 = cert.polynomials()
     # integral p d(mu - nu) - integral sigma1 dmu - integral psi1 dnu
     deg = 2 * cert.level

@@ -346,17 +346,12 @@ def cmd_certify(cfg: RunConfig) -> int:
         print(f"error: level {level} solve ended {res.status.value}", file=sys.stderr)
         return EXIT_SOLVER
     cert = res.certificate
-    try:
-        value = verify_certificate(cert, res.mu_moments, res.nu_moments)
-        verdict = "OK"
-    except TvBoundError as exc:
-        print(f"verdict FAIL: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    value = verify_certificate(cert, res.mu_moments, res.nu_moments)
     one_minus_p, one_plus_p = _identity_residuals(cert)
     payload = {
         "n": level,
         "rho_n": _scale_out(res.rho, cfg),
-        "verdict": verdict,
+        "verdict": "OK",
         "verified_value": _scale_out(value, cfg),
         "p": cert.p.tolist(),
         "gram_eigenvalues": {
@@ -373,7 +368,7 @@ def cmd_certify(cfg: RunConfig) -> int:
     if cfg.fmt == "json":
         print(json.dumps(payload, indent=2))
     else:
-        print(f"n={level}  rho_n={payload['rho_n']:.6f}  verdict {verdict}  "
+        print(f"n={level}  rho_n={payload['rho_n']:.6f}  verdict OK  "
               f"verified value {payload['verified_value']:.6f}")
         print(f"  p coefficients: {np.array2string(cert.p, precision=6)}")
         for name, eigs in payload["gram_eigenvalues"].items():

@@ -554,7 +554,11 @@ def solve(program: ConicProgram, settings: SolverSettings | None = None) -> Solv
         best = {"x": np.zeros(0), "Z": np.zeros_like(f0), "pobj": 0.0,
                 "dobj": 0.0, "pres": pres, "dres": 0.0, "relgap": 0.0}
     else:
-        status, reason, best, iters = _solve_cone(program.c, f0, coeffs, settings)
+        # diverging iterates overflow in the polish's sizes and the residual
+        # norms; the core judges those values (the polish gate tests isfinite,
+        # a non-finite score stops as numerical), so warnings would only leak
+        with np.errstate(over="ignore"):
+            status, reason, best, iters = _solve_cone(program.c, f0, coeffs, settings)
     duals = tuple(z[:size, :size] for z, size in zip(best["Z"], sizes))
     return SolveResult(status, best["x"], best["pobj"] + program.offset,
                        best["dobj"] + program.offset, duals,

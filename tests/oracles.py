@@ -85,6 +85,29 @@ def atomic_tv(points_mu, weights_mu, points_nu, weights_nu, tol=1e-9):
     return sum(abs(v) for v in table.values())
 
 
+def first_match_tv(points_mu, weights_mu, points_nu, weights_nu, tol=1e-9):
+    """TV of atomic measures by a scan of every merged atom per atom.
+
+    mu's atoms enter with weight +w and nu's with -w; an atom joins the first
+    merged atom within ``tol`` of it (max norm), else it starts a new one.
+    The merged atoms mu began and those nu added are summed apart.
+    """
+    merged_pts, merged_w = [], []
+    for points, weights, sign in ((points_mu, weights_mu, 1.0),
+                                  (points_nu, weights_nu, -1.0)):
+        nu_start = len(merged_w)
+        for p, w in zip(points, weights):
+            for i, q in enumerate(merged_pts):
+                if np.max(np.abs(p - q)) <= tol:
+                    merged_w[i] += sign * w
+                    break
+            else:
+                merged_pts.append(p)
+                merged_w.append(sign * float(w))
+    return float(sum(abs(w) for w in merged_w[:nu_start])
+                 + sum(abs(w) for w in merged_w[nu_start:]))
+
+
 def grid_min_sdp(c, f0, coeffs, lo, hi, steps):
     """Brute-force grid minimum of c @ x over {x : f0 + sum x_i F_i psd}."""
     c = np.asarray(c, dtype=float)

@@ -89,9 +89,8 @@ def test_certificate_mismatch_on_injected_negative_eigenvalue():
     res = solve_level(mu, nu, 1, CERTIFY)
     cert = res.certificate
     bad_gram = cert.gram_sigma0 - 1e-3 * np.eye(cert.gram_sigma0.shape[0])
-    bad = dataclasses.replace(cert, gram_sigma0=bad_gram)
     with pytest.raises(CertificateMismatch, match="sigma0"):
-        verify_certificate(bad, mu, nu)
+        dataclasses.replace(cert, gram_sigma0=bad_gram)
 
 
 def test_certificate_mismatch_on_broken_identity():
@@ -100,9 +99,8 @@ def test_certificate_mismatch_on_broken_identity():
     cert = res.certificate
     p_bad = cert.p.copy()
     p_bad[1] += 1e-3
-    bad = dataclasses.replace(cert, p=p_bad)
     with pytest.raises(CertificateMismatch):
-        verify_certificate(bad, mu, nu)
+        dataclasses.replace(cert, p=p_bad)
 
 
 def test_failed_certificate_check_is_recorded_not_raised():
@@ -142,6 +140,21 @@ def test_trivial_certificate_is_valid_but_loose():
         gram_psi0=gram_one, gram_psi1=np.zeros((2, 2)),
     )
     assert verify_certificate(cert, mu, nu) == pytest.approx(0.0)
+
+
+def test_certificate_with_broken_identity_is_refused_when_built():
+    # the trivial certificate above with p = 0.5 leaves 1 - p = 0.5 against
+    # sigma0 - sigma1 = 1
+    gram_one = np.zeros((2, 2))
+    gram_one[0, 0] = 1.0
+    p = np.zeros(3)
+    p[0] = 0.5
+    with pytest.raises(CertificateMismatch, match="sigma0"):
+        DualCertificate(
+            level=1, dim=1, p=p,
+            gram_sigma0=gram_one, gram_sigma1=np.zeros((2, 2)),
+            gram_psi0=gram_one, gram_psi1=np.zeros((2, 2)),
+        )
 
 
 def test_p_reconstruction_matches_equality_multipliers():

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from tvbound.measures import (
 from oracles import (
     atomic_tv,
     exponential_pdf,
+    first_match_tv,
     gaussian_tv,
     gaussian_tv_equal_var,
     hermgauss_moments,
@@ -156,6 +158,48 @@ def test_exact_tv_atomic_symmetry_and_bounds(p1, w1, p2, w2):
     tv = exact_tv_atomic(mu, nu)
     assert tv == pytest.approx(exact_tv_atomic(nu, mu), rel=1e-12, abs=1e-12)
     assert -1e-12 <= tv <= mu.mass + nu.mass + 1e-12
+
+
+# offsets below, at, across and past the 1e-9 merge tolerance, so that atoms
+# chain, cancel, and match one of two neighbours
+MERGE_OFFSETS = (0.0, 1e-12, 0.4e-9, 0.8e-9, 1.5e-9)
+
+
+@st.composite
+def clustered_atoms(draw, dim):
+    centers = st.sampled_from((0.0, 0.5, -2.0))
+    offsets = st.sampled_from(MERGE_OFFSETS + tuple(-o for o in MERGE_OFFSETS))
+    atom = st.tuples(*[st.tuples(centers, offsets)] * dim)
+    atoms = draw(st.lists(atom, min_size=1, max_size=8))
+    points = np.array([[c + o for c, o in a] for a in atoms])
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=len(atoms),
+                            max_size=len(atoms)))
+    return Atomic(points, weights)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.sampled_from((1, 2)))
+def test_exact_tv_atomic_matches_first_match_scan(data, dim):
+    mu = data.draw(clustered_atoms(dim))
+    nu = data.draw(clustered_atoms(dim))
+    for a, b in ((mu, nu), (nu, mu)):
+        assert exact_tv_atomic(a, b) == first_match_tv(
+            a.points, a.weights, b.points, b.weights)
+
+
+def test_exact_tv_atomic_twenty_thousand_atoms():
+    # unit weights at the points (k, k mod 7), k = 0..19999 shuffled: nu's
+    # atoms with even k sit 0.5e-9 from mu's and cancel, its odd ones sit 0.5
+    # away, so the TV is 10000 + 10000 with exact float sums
+    rng = np.random.default_rng(0)
+    k = rng.permutation(20000).astype(float)
+    mu = Atomic(np.column_stack([k, k % 7]), np.ones(20000))
+    shift = np.where(k % 2 == 0, 0.5e-9, 0.5)
+    nu = Atomic(np.column_stack([k + shift, k % 7]), np.ones(20000))
+    start = time.perf_counter()
+    tv = exact_tv_atomic(mu, nu)
+    assert time.perf_counter() - start < 5.0
+    assert tv == 20000.0
 
 
 def test_density_tv_identical_is_zero():
