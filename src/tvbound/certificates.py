@@ -22,7 +22,7 @@ value by  integral S d(mu - nu) - integral S dmu + integral S dnu = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,7 +44,9 @@ class DualCertificate:
     ``p`` holds coefficients over the degree-2n basis; the four Gram
     matrices have size s(n) and represent sigma0, sigma1, psi0, psi1.
     Construction raises CertificateMismatch unless both identities hold to
-    IDENTITY_TOL and every Gram eigenvalue is at least GRAM_EIG_FLOOR.
+    IDENTITY_TOL and every Gram eigenvalue is at least GRAM_EIG_FLOOR, and
+    keeps what it checked: ``identity_residuals`` (see ``_identity_residuals``)
+    and ``gram_eigenvalues``, each Gram matrix's ascending eigenvalues by name.
     """
 
     level: int
@@ -54,6 +56,8 @@ class DualCertificate:
     gram_sigma1: np.ndarray
     gram_psi0: np.ndarray
     gram_psi1: np.ndarray
+    identity_residuals: dict = field(init=False, repr=False)
+    gram_eigenvalues: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         s = basis_size(self.dim, self.level)
@@ -69,21 +73,26 @@ class DualCertificate:
             raise ValueError("p must live on the degree-2n basis")
         p.setflags(write=False)
         object.__setattr__(self, "p", p)
-        res1, res2 = _identity_residuals(self)
-        if res1 > IDENTITY_TOL:
+        res = _identity_residuals(self)
+        object.__setattr__(self, "identity_residuals", res)
+        if res["one_minus_p"] > IDENTITY_TOL:
             raise CertificateMismatch(
-                f"identity 1 - p = sigma0 - sigma1 violated by {res1:.3e}"
+                f"identity 1 - p = sigma0 - sigma1 violated by {res['one_minus_p']:.3e}"
             )
-        if res2 > IDENTITY_TOL:
+        if res["one_plus_p"] > IDENTITY_TOL:
             raise CertificateMismatch(
-                f"identity 1 + p = psi0 - psi1 violated by {res2:.3e}"
+                f"identity 1 + p = psi0 - psi1 violated by {res['one_plus_p']:.3e}"
             )
+        eigs = {}
         for name in ("sigma0", "sigma1", "psi0", "psi1"):
-            eig = float(np.linalg.eigvalsh(getattr(self, "gram_" + name))[0])
-            if eig < GRAM_EIG_FLOOR:
+            w = np.linalg.eigvalsh(getattr(self, "gram_" + name))
+            if w[0] < GRAM_EIG_FLOOR:
                 raise CertificateMismatch(
-                    f"Gram matrix of {name} has eigenvalue {eig:.3e}"
+                    f"Gram matrix of {name} has eigenvalue {float(w[0]):.3e}"
                 )
+            w.setflags(write=False)
+            eigs[name] = w
+        object.__setattr__(self, "gram_eigenvalues", eigs)
 
     def polynomials(self):
         """Coefficient vectors of sigma0, sigma1, psi0, psi1 over the
@@ -97,14 +106,14 @@ class DualCertificate:
         )
 
 
-def _identity_residuals(cert: DualCertificate) -> tuple[float, float]:
+def _identity_residuals(cert: DualCertificate) -> dict:
     """Largest coefficient violations of 1 - p = sigma0 - sigma1 and of
-    1 + p = psi0 - psi1."""
+    1 + p = psi0 - psi1, keyed one_minus_p and one_plus_p."""
     sigma0, sigma1, psi0, psi1 = cert.polynomials()
     one = np.zeros_like(cert.p)
     one[0] = 1.0
-    return (float(np.max(np.abs((one - cert.p) - (sigma0 - sigma1)))),
-            float(np.max(np.abs((one + cert.p) - (psi0 - psi1)))))
+    return {"one_minus_p": float(np.max(np.abs((one - cert.p) - (sigma0 - sigma1)))),
+            "one_plus_p": float(np.max(np.abs((one + cert.p) - (psi0 - psi1))))}
 
 
 def recover_certificate(result: HierarchyResult) -> DualCertificate:

@@ -42,7 +42,7 @@ import numpy as np
 # CLI does not load (ROADMAP item 12)
 import scipy.integrate  # noqa: F401
 
-from .certificates import _identity_residuals, verify_certificate
+from .certificates import verify_certificate
 from .conic import SolveStatus
 from .errors import NotFlat, TvBoundError
 from .indexing import basis_size
@@ -347,23 +347,14 @@ def cmd_certify(cfg: RunConfig) -> int:
         return EXIT_SOLVER
     cert = res.certificate
     value = verify_certificate(cert, res.mu_moments, res.nu_moments)
-    one_minus_p, one_plus_p = _identity_residuals(cert)
     payload = {
         "n": level,
         "rho_n": _scale_out(res.rho, cfg),
         "verdict": "OK",
         "verified_value": _scale_out(value, cfg),
         "p": cert.p.tolist(),
-        "gram_eigenvalues": {
-            "sigma0": np.linalg.eigvalsh(cert.gram_sigma0).tolist(),
-            "sigma1": np.linalg.eigvalsh(cert.gram_sigma1).tolist(),
-            "psi0": np.linalg.eigvalsh(cert.gram_psi0).tolist(),
-            "psi1": np.linalg.eigvalsh(cert.gram_psi1).tolist(),
-        },
-        "identity_residuals": {
-            "one_minus_p": one_minus_p,
-            "one_plus_p": one_plus_p,
-        },
+        "gram_eigenvalues": {name: w.tolist() for name, w in cert.gram_eigenvalues.items()},
+        "identity_residuals": cert.identity_residuals,
     }
     if cfg.fmt == "json":
         print(json.dumps(payload, indent=2))

@@ -47,17 +47,18 @@ from .moments import (MomentSequence, affine_matrix, moment_matrix, power_vector
                       structure_tensor)
 
 
-def _affine_moments(seq: MomentSequence, a: float, b: float) -> MomentSequence:
-    """Moments of the pushforward of ``seq`` under x -> a x + b, and its
-    support mapped pointwise.
+def _affine_moments(a: float, b: float, *seqs: MomentSequence) -> list:
+    """Moments of the pushforwards of ``seqs`` (one dimension and degree)
+    under x -> a x + b, and their supports mapped pointwise.
 
     B is lower triangular, so moment k sums the first k + 1 terms of row k,
     left to right.  B @ m is as accurate, but at high degree B is
     ill-conditioned and the BLAS summation order moves solver statuses.
     """
-    mat = affine_matrix(a, b, seq.dim, seq.max_degree)
-    return MomentSequence(seq.dim, seq.max_degree, np.cumsum(mat * seq.values, axis=1).diagonal(),
-                          None if seq.support is None else a * seq.support + b)
+    mat = affine_matrix(a, b, seqs[0].dim, seqs[0].max_degree)
+    return [MomentSequence(seq.dim, seq.max_degree, np.cumsum(mat * seq.values, axis=1).diagonal(),
+                           None if seq.support is None else a * seq.support + b)
+            for seq in seqs]
 
 
 @dataclass(frozen=True)
@@ -74,10 +75,13 @@ class VariableMap:
     scale: float = 1.0
 
     def seq_to_solver(self, seq: MomentSequence) -> MomentSequence:
-        return _affine_moments(seq, 1.0 / self.scale, -self.shift / self.scale)
+        return self._to_solver(seq)[0]
+
+    def _to_solver(self, *seqs: MomentSequence) -> list:
+        return _affine_moments(1.0 / self.scale, -self.shift / self.scale, *seqs)
 
     def seq_from_solver(self, seq: MomentSequence) -> MomentSequence:
-        return _affine_moments(seq, self.scale, self.shift)
+        return _affine_moments(self.scale, self.shift, seq)[0]
 
     def points_from_solver(self, pts: np.ndarray) -> np.ndarray:
         return self.scale * np.asarray(pts, dtype=float) + self.shift
@@ -99,15 +103,15 @@ def variable_map_for(mu: MomentSequence, nu: MomentSequence, n: int) -> Variable
         return seq.values[1] / seq.values[0] if seq.values[0] > 0 else 0.0
 
     shift = 0.5 * (mean(mu) + mean(nu)) if mu.dim == 1 else 0.0
+    # the centered 2n-th axis moments, summed as in ``_affine_moments``; d > 1 has no shift
+    top_row = affine_matrix(1.0, -shift, 1, 2 * n)[-1] if mu.dim == 1 else None
 
     def radius(seq):
         mass = seq.values[0]
         if mass <= 0:
             return 1.0
-        # the centered 2n-th axis moments alone, summed as in
-        # ``_affine_moments``; d > 1 has no shift
         if seq.dim == 1:
-            top = np.cumsum(affine_matrix(1.0, -shift, 1, 2 * n)[-1] * seq.values[: 2 * n + 1])[-1]
+            top = np.cumsum(top_row * seq.values[: 2 * n + 1])[-1]
         else:
             top = max(seq[tuple(2 * n * (j == i) for j in range(seq.dim))] for i in range(seq.dim))
         return (max(top, 0.0) / mass) ** (1.0 / (2 * n))
@@ -151,20 +155,25 @@ def _equilibration(mat: np.ndarray) -> np.ndarray:
 def _face_atoms(mu: MomentSequence, nu: MomentSequence, n: int) -> np.ndarray | None:
     """Atoms whose power vectors span phi - mu on the feasible set: those both
     share if both are flat at n (identical float points; ``exact_tv_atomic``
-    merges within 1e-9), else the flat one's; None if neither is."""
+    merges within 1e-9), else the flat one's; None if neither is.  Atoms are
+    (r, d) rows in lexicographic order, as ``np.unique(..., axis=0)`` gives."""
 
     def flat(pts, d):
         # the r distinct atoms if rank V_{n-1} = r; on the line, if r <= n
-        pts = np.unique(pts, axis=0)
-        rank = min(len(pts), n) if d == 1 else np.linalg.matrix_rank(power_vectors(pts, n - 1))
+        pts = sorted(set(map(tuple, pts.tolist())))
+        rank = (min(len(pts), n) if d == 1
+                else np.linalg.matrix_rank(power_vectors(np.array(pts), n - 1)))
         return pts if rank == len(pts) else None
 
     pts_mu, pts_nu = (None if seq.support is None else flat(seq.support, seq.dim)
                       for seq in (mu, nu))
     if pts_mu is None or pts_nu is None:
-        return pts_nu if pts_mu is None else pts_mu
-    pts, counts = np.unique(np.concatenate([pts_mu, pts_nu]), axis=0, return_counts=True)
-    return pts[counts == 2]
+        pts = pts_nu if pts_mu is None else pts_mu
+    else:
+        # mu's copy of a shared point, as np.unique kept it (0.0 == -0.0)
+        shared = set(pts_nu)
+        pts = [p for p in pts_mu if p in shared]
+    return None if pts is None else np.array(pts, dtype=float).reshape(-1, mu.dim)
 
 
 def _level_inputs(mu: MomentSequence, nu: MomentSequence, n: int):
@@ -233,7 +242,7 @@ def assemble(
         # substitute phi = x0 + N z; each entry of the products is one
         # coordinate times one tensor entry, so the blocks stay exactly symmetric
         sub = np.vstack([x0, null_basis.T])
-        p_mu, p_nu = (np.tensordot(sub, t, axes=1) for t in (t_mu, t_nu))
+        p_mu, p_nu = (np.dot(sub, t.reshape(s2n, -1)).reshape(-1, s, s) for t in (t_mu, t_nu))
         block_data = [(f0 + p[0], p[1:])
                       for (f0, _), p in zip(block_data, (p_mu, -p_mu, p_nu))]
         offset += float(c @ x0)
@@ -291,8 +300,9 @@ class HierarchyResult:
     ``wall_ms`` times the conic solve alone, not the moments, the change of
     variables or the assembly.  On a pinned atomic level, where no IPM
     iteration runs, that is a small part: on EX1 of the benchmark at n=6,
-    about 0.12 ms of a 1 ms ``solve_level``, which an extraction doubles
-    (one BLAS thread on a shared 2-core host).
+    about 0.1 ms of the 0.45 ms that ``solve_hierarchy`` takes from the
+    measures, before a 0.9 ms extraction (one BLAS thread on a shared
+    2-core host).
     """
 
     level: int
@@ -331,8 +341,7 @@ def solve_level(
     mu2n, nu2n = _level_inputs(mu, nu, n)
     if var_map is None:
         var_map = variable_map_for(mu2n, nu2n, n)
-    mu_s = var_map.seq_to_solver(mu2n)
-    nu_s = var_map.seq_to_solver(nu2n)
+    mu_s, nu_s = var_map._to_solver(mu2n, nu2n)
 
     reduce = settings.kernel_reduce and not settings.certify
     problem = assemble(mu_s, nu_s, n, kernel_reduce=reduce)

@@ -2,6 +2,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tvbound.conic import SolveStatus, SolveResult
 from tvbound.errors import DegreeTooLow, DimensionMismatch
@@ -14,10 +15,11 @@ from tvbound.measures import (
     exact_tv_univariate_density,
     moments,
 )
-from tvbound.moments import MomentSequence, moment_matrix
+from tvbound.moments import MomentSequence, moment_matrix, power_vectors
 from tvbound.relaxation import (
     HierarchySettings,
     VariableMap,
+    _face_atoms,
     assemble,
     monotone_within,
     solve_hierarchy,
@@ -108,6 +110,77 @@ def test_face_needs_flat_atoms_in_the_plane():
     line = moments(Atomic([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]], w), 2, 4)
     assert assemble(triangle, nu, 2, kernel_reduce=True).reduced
     assert not assemble(line, nu, 2, kernel_reduce=True).reduced
+
+
+def unique_face_atoms(mu, nu, n):
+    """The face atoms as ``np.unique(..., axis=0)`` finds them: the reference
+    for ``_face_atoms``."""
+
+    def flat(pts, d):
+        pts = np.unique(pts, axis=0)
+        rank = min(len(pts), n) if d == 1 else np.linalg.matrix_rank(power_vectors(pts, n - 1))
+        return pts if rank == len(pts) else None
+
+    pts_mu, pts_nu = (None if seq.support is None else flat(seq.support, seq.dim)
+                      for seq in (mu, nu))
+    if pts_mu is None or pts_nu is None:
+        return pts_nu if pts_mu is None else pts_mu
+    pts, counts = np.unique(np.concatenate([pts_mu, pts_nu]), axis=0, return_counts=True)
+    return pts[counts == 2]
+
+
+# few coordinates, so points repeat within a side and across the two; 0.0
+# and -0.0 are one point, and each side keeps its first copy of it
+FACE_COORDS = st.sampled_from((-1.0, -0.0, 0.0, 1e-300, 0.5, 1.5))
+FACE_SIDE = st.none() | st.lists(st.tuples(FACE_COORDS, FACE_COORDS), min_size=1, max_size=7)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((1, 2)), st.integers(1, 4), FACE_SIDE, FACE_SIDE)
+@example(1, 1, None, None)                                    # no support: None
+@example(1, 1, [(0.0, 0), (0.5, 0)], [(1.5, 0), (-1.0, 0)])  # neither flat: None
+@example(1, 2, [(0.0, 0), (0.5, 0)], None)                   # one side only
+@example(1, 2, [(0.0, 0), (0.5, 0)], [(0.0, 0), (-1.0, 0)])  # one shared
+@example(1, 2, [(0.0, 0), (0.5, 0)], [(1.5, 0), (-1.0, 0)])  # disjoint: empty
+@example(1, 1, [(-0.0, 0)], [(0.0, 0)])                      # mu's copy of 0
+@example(2, 2, [(0.0, 0.0), (1.5, 0.0), (0.0, 1.5)], [(1.5, 0.0), (0.0, 1.5), (0.0, 0.0)])
+@example(2, 2, [(0.0, 0.0), (0.5, 0.5), (1.5, 1.5)], [(0.0, 0.0)])  # mu collinear
+def test_face_atoms_match_unique_formula(d, n, pts_mu, pts_nu):
+    mu, nu = (MomentSequence(d, 2 * n, np.zeros(basis_size(d, 2 * n)),
+                             None if pts is None else np.array(pts)[:, :d])
+              for pts in (pts_mu, pts_nu))
+    got, want = _face_atoms(mu, nu, n), unique_face_atoms(mu, nu, n)
+    if want is None:
+        assert got is None
+        return
+    assert got.dtype == want.dtype and got.shape == want.shape
+    # bit for bit, so the sign of a zero and the order of the rows count
+    assert got.tobytes() == want.tobytes()
+
+
+def _six_atom_pair():
+    pts = np.random.default_rng(0).uniform(-1.0, 1.0, (6, 2))
+    return Atomic(pts, [1 / 6] * 6), Atomic(pts + 0.3, [1 / 6] * 6)
+
+
+@pytest.mark.parametrize("mu, nu, n", [
+    pytest.param(Atomic.univariate([-1.0, 0.0, 1.0, 2.0], [0.25] * 4),
+                 Atomic.univariate([-0.7, 0.3, 1.3, 2.3], [0.25] * 4), 4, id="EX1"),
+    pytest.param(Gaussian(0.8, 0.05), Gaussian(1.0, 0.1), 3, id="gaussian"),
+    pytest.param(*_six_atom_pair(), 3, id="2d-six-atom"),
+])
+def test_solve_level_program_is_assembled_from_the_mapped_moments(mu, nu, n):
+    # solve_level maps both sequences with one basis-change matrix
+    mu2n, nu2n = (moments(spec, spec.dim, 2 * n) for spec in (mu, nu))
+    res = solve_level(mu2n, nu2n, n)
+    var_map = res.var_map
+    want = assemble(var_map.seq_to_solver(mu2n), var_map.seq_to_solver(nu2n), n,
+                    kernel_reduce=True).program
+    got = res.problem.program
+    assert np.array_equal(got.c, want.c) and got.offset == want.offset
+    assert len(got.blocks) == len(want.blocks) == 3
+    for blk, ref in zip(got.blocks, want.blocks):
+        assert np.array_equal(blk.f0, ref.f0) and np.array_equal(blk.coeffs, ref.coeffs)
 
 
 def test_assemble_validation():
